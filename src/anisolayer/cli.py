@@ -9,8 +9,10 @@ Subcommands:
     identity     inner/outer matching-identity deviation -> JSON
 
 Exit codes: 0 on success, 1 on usage errors (bad flags, unknown problem,
-inconsistent request), 2 on numerical failures (no convergence, non-finite
-data, violated integral conditions).  File outputs are deterministic for a
+inconsistent request, an output path that cannot be written; missing
+directories and directory targets are caught before any computation), 2 on
+numerical failures (no convergence or PCG breakdown, non-finite data,
+violated integral conditions).  File outputs are deterministic for a
 fixed flag set and seed; CSV artifacts carry '#'-prefixed metadata lines
 (tool version and config echo) above the header, JSON artifacts carry the
 same echo under a "meta" key.
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -196,6 +199,24 @@ def _write_json(payload: dict, out: str | None) -> None:
             fh.write(text + "\n")
 
 
+def _sidecar_path(out: str) -> str:
+    return out[:-4] + ".json" if out.endswith(".csv") else out + ".json"
+
+
+def _check_output_paths(args: argparse.Namespace) -> None:
+    """Reject an output path whose directory is missing, or that is a
+    directory, before any numerical work is spent on it."""
+    out = getattr(args, "out", None)
+    if out is None:
+        return
+    for path in [out, _sidecar_path(out)] if args.command == "convergence" else [out]:
+        if os.path.isdir(path):
+            raise ValueError(f"cannot write {path}: it is a directory")
+        parent = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(parent):
+            raise ValueError(f"cannot write {path}: directory {parent} does not exist")
+
+
 def _field_to_csv(field: Field2D, out: str, meta: dict) -> None:
     with open(out, "w", encoding="utf-8") as fh:
         field.write_csv(fh, metadata=meta)
@@ -250,7 +271,7 @@ def _cmd_convergence(args) -> int:
     meta = _meta(args)
     with open(args.out, "w", encoding="utf-8") as fh:
         report.write_csv(fh, metadata=meta)
-    sidecar_path = args.out[:-4] + ".json" if args.out.endswith(".csv") else args.out + ".json"
+    sidecar_path = _sidecar_path(args.out)
     _write_json({**report.sidecar_dict(), "meta": meta}, sidecar_path)
     print(f"wrote remainder table to {args.out} and slopes to {sidecar_path}")
     for n in report.orders:
@@ -314,11 +335,12 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse signals both --help and usage errors
         return int(exc.code or 0)
     try:
+        _check_output_paths(args)
         return _COMMANDS[args.command](args)
     except _NUMERICAL_ERRORS as exc:
         print(f"anisolayer {args.command}: numerical failure: {exc}", file=sys.stderr)
         return 2
-    except _USAGE_ERRORS as exc:
+    except (*_USAGE_ERRORS, OSError) as exc:
         print(f"anisolayer {args.command}: {exc}", file=sys.stderr)
         return 1
 

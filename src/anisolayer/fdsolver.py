@@ -25,12 +25,14 @@ a safety net against any mismatch.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import IO, Callable, Union
 
 import numpy as np
 from scipy.fft import dct, idct
+from scipy.linalg import blas
 
 from ._quad import check_finite
 from .errors import GridMismatch, NoConvergence
@@ -86,17 +88,22 @@ class Field2D:
         """Write ``x,y,value`` rows (j outer, i inner), 17 significant digits.
 
         Metadata entries become '#'-prefixed comment lines above the header.
+
+        The x tokens are formatted once, into a row template
+        ``"<x_1>,\\0,%.17g\\n<x_2>,\\0,%.17g\\n..."``.  Each y-row then costs
+        one ``str.replace`` of the placeholder by the y token, one ``%``
+        against the row's values and one ``stream.write``, so memory stays
+        bounded by one row of text.  ``'%.17g' % v`` and ``format(v, '.17g')``
+        go through the same float-to-string routine, so every token is the
+        ``.17g`` string a per-node f-string would give.
         """
         for key, val in (metadata or {}).items():
             stream.write(f"# {key}: {val}\n")
         stream.write("x,y,value\n")
-        xs = self.grid.x_nodes()
-        ys = self.grid.y_nodes()
         fmt = CSV_FLOAT_FORMAT
-        for j, y in enumerate(ys):
-            col = self.values[:, j]
-            for i, x in enumerate(xs):
-                stream.write(f"{x:{fmt}},{y:{fmt}},{col[i]:{fmt}}\n")
+        row = "".join(f"{x:{fmt}},\0,%{fmt}\n" for x in self.grid.x_nodes())
+        for y, col in zip(self.grid.y_nodes(), self.values.T):
+            stream.write(row.replace("\0", f"{y:{fmt}}") % tuple(col.tolist()))
 
 
 @dataclass(frozen=True)
@@ -154,7 +161,9 @@ def solve_fd(p: ProblemSpec, grid: Grid2D, tol: float = DEFAULT_TOL,
         The nodal solution field (Dirichlet rows included) and solve stats.
 
     Raises:
-        NoConvergence: the residual target was not met within ``max_iter``.
+        NoConvergence: the residual target was not met within ``max_iter``,
+            or PCG broke down (``r.z = 0`` or a non-finite step length), as
+            it does for tiny eps^2 (from 1e-32 down on a 16x16 grid).
         NonFiniteValue: problem data evaluated to NaN/inf on the grid.
     """
     if tol < 1e-14:
@@ -189,13 +198,13 @@ def solve_fd(p: ProblemSpec, grid: Grid2D, tol: float = DEFAULT_TOL,
     precond = _SpectralPreconditioner(grid.n_x, grid.n_y - 1, grid.dx, beta)
 
     u = np.zeros_like(rhs)
-    r = rhs.copy()
-    rhs_norm = float(np.linalg.norm(rhs))
-    if rhs_norm == 0.0:
+    if not rhs.any():
         stats = SolveStats(iterations=0, relative_residual=0.0,
                            wall_time=time.perf_counter() - t_start)
         return _assemble_field(grid, u, bottom, top), stats
 
+    r = rhs.copy()
+    rhs_norm = _norm(rhs)
     rel = 1.0
     z = precond.apply(r)
     d = z.copy()
@@ -203,10 +212,16 @@ def solve_fd(p: ProblemSpec, grid: Grid2D, tol: float = DEFAULT_TOL,
     iterations = 0
     for iterations in range(1, max_iter + 1):
         ad = apply_operator(d)
-        alpha = rz / float(np.vdot(d, ad))
+        dad = float(np.vdot(d, ad))
+        alpha = rz / dad if dad != 0.0 else math.nan
+        if rz == 0.0 or not math.isfinite(alpha):
+            raise NoConvergence(
+                f"PCG broke down in iteration {iterations} (r.z = {rz:.3e}, "
+                f"d.Ad = {dad:.3e}) at relative residual {rel:.3e}"
+            )
         u += alpha * d
         r -= alpha * ad
-        rel = float(np.linalg.norm(r)) / rhs_norm
+        rel = _norm(r) / rhs_norm
         if rel <= tol:
             break
         z = precond.apply(r)
@@ -220,6 +235,12 @@ def solve_fd(p: ProblemSpec, grid: Grid2D, tol: float = DEFAULT_TOL,
     stats = SolveStats(iterations=iterations, relative_residual=rel,
                        wall_time=time.perf_counter() - t_start)
     return _assemble_field(grid, u, bottom, top), stats
+
+
+def _norm(a: np.ndarray) -> float:
+    """2-norm from BLAS nrm2, which rescales as it sums: the squares of a
+    residual near the smallest normal float would underflow in a plain dot."""
+    return float(blas.dnrm2(a.ravel()))
 
 
 def _assemble_field(grid: Grid2D, interior: np.ndarray,

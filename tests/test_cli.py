@@ -1,9 +1,17 @@
+import errno
 import json
 
 import numpy as np
 import pytest
 
-from anisolayer import Grid2D, NoConvergence, builtin_problem, composite, solve_fd
+from anisolayer import (
+    Field2D,
+    Grid2D,
+    NoConvergence,
+    builtin_problem,
+    composite,
+    solve_fd,
+)
 from anisolayer.cli import run
 import anisolayer.cli as cli_module
 
@@ -209,3 +217,86 @@ def test_numerical_failure_maps_to_exit_2(monkeypatch, capsys):
                 "--nx", "8", "--ny", "8", "--out", "/dev/null"])
     assert code == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("numerical work started before the output path was checked")
+
+
+_PATH_CASES = {
+    "fd": ("solve_fd", ["fd", "--problem", "paper", "--eps2", "0.05",
+                        "--nx", "8", "--ny", "8"]),
+    "expand": ("composite", ["expand", "--problem", "paper", "--eps2", "0.05",
+                             "--nx", "8", "--ny", "8"]),
+    "convergence": ("remainder_norms", ["convergence", "--problem", "paper",
+                                        "--eps2", "0.01,0.05,0.1", "--nx", "8", "--ny", "8"]),
+    "mc": ("estimate_point", ["mc", "--problem", "paper", "--eps2", "0.05",
+                              "--x", "0.5", "--y", "0.5"]),
+    "identity": ("decompose", ["identity", "--problem", "paper"]),
+}
+
+
+def _assert_one_line_usage_error(code, capsys, command, *needles):
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"anisolayer {command}: ")
+    for needle in needles:
+        assert needle in lines[0]
+
+
+@pytest.mark.parametrize("command", sorted(_PATH_CASES))
+def test_missing_output_directory_is_usage_error_before_computing(
+        command, tmp_path, monkeypatch, capsys):
+    target, argv = _PATH_CASES[command]
+    monkeypatch.setattr(cli_module, target, _refuse)
+    out = tmp_path / "missing" / "out.csv"
+    code = run(argv + ["--out", str(out)])
+    _assert_one_line_usage_error(code, capsys, command, "does not exist")
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("command", sorted(_PATH_CASES))
+def test_directory_output_is_usage_error_before_computing(
+        command, tmp_path, monkeypatch, capsys):
+    target, argv = _PATH_CASES[command]
+    monkeypatch.setattr(cli_module, target, _refuse)
+    code = run(argv + ["--out", str(tmp_path)])
+    _assert_one_line_usage_error(code, capsys, command, "is a directory")
+
+
+def test_convergence_sidecar_directory_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli_module, "remainder_norms", _refuse)
+    (tmp_path / "table.json").mkdir()
+    code = run(_PATH_CASES["convergence"][1] + ["--out", str(tmp_path / "table.csv")])
+    _assert_one_line_usage_error(code, capsys, "convergence", "table.json", "is a directory")
+    assert not (tmp_path / "table.csv").exists()
+
+
+def test_os_error_while_writing_is_usage_error(tmp_path, monkeypatch, capsys):
+    def disk_full(self, stream, metadata=None):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(Field2D, "write_csv", disk_full)
+    code = run(_PATH_CASES["fd"][1] + ["--out", str(tmp_path / "field.csv")])
+    _assert_one_line_usage_error(code, capsys, "fd", "No space left on device")
+
+
+def test_fd_tiny_eps_never_writes_zero_interior(tmp_path, capsys):
+    # eps^2 = 1e-300 makes ||rhs||^2 underflow; the solve must either agree
+    # with the eps^2 = 1e-12 field (both sit at the eps -> 0 limit on this
+    # grid) or report a numerical failure, never exit 0 with a zero interior
+    out = tmp_path / "field.csv"
+    code = run(["fd", "--problem", "paper", "--eps2", "1e-300",
+                "--nx", "16", "--ny", "16", "--out", str(out)])
+    if code == 2:
+        assert "numerical failure" in capsys.readouterr().err
+        return
+    assert code == 0
+    rows = np.loadtxt(out, delimiter=",", comments="#", skiprows=1)
+    got = rows[:, 2].reshape(17, 16).T
+    grid = Grid2D(16, 16)
+    limit, _ = solve_fd(builtin_problem("paper", eps=1e-6), grid)
+    assert np.any(got[:, 1:-1] != 0.0)
+    assert np.max(np.abs(got - limit.values)) <= 1e-8

@@ -98,6 +98,13 @@ class TestSolveFd:
         with pytest.raises(NoConvergence):
             solve_fd(builtin_problem("paper", eps=0.05), Grid2D(64, 64), max_iter=2)
 
+    def test_breakdown_is_no_convergence(self, monkeypatch):
+        # a preconditioner that annihilates the residual makes r.z = 0: a
+        # PCG breakdown, reported instead of dividing by zero
+        monkeypatch.setattr(_SpectralPreconditioner, "apply", lambda self, r: 0.0 * r)
+        with pytest.raises(NoConvergence, match="broke down"):
+            solve_fd(builtin_problem("paper", eps=0.2), Grid2D(16, 16))
+
 
 class TestLinfDistance:
     def test_identical_sampled_field(self):
@@ -141,6 +148,41 @@ class TestFieldCsv:
         assert lines[4].startswith("0.25,0.5,2")
         # 17 significant digits survive the round trip
         assert float(lines[-1].split(",")[2]) == 1.0 / 3.0
+
+    @staticmethod
+    def _per_node_reference(field, metadata):
+        # the writer's previous body: one f-string and one write per node
+        buf = io.StringIO()
+        for key, val in (metadata or {}).items():
+            buf.write(f"# {key}: {val}\n")
+        buf.write("x,y,value\n")
+        xs, ys = field.grid.x_nodes(), field.grid.y_nodes()
+        for j, y in enumerate(ys):
+            col = field.values[:, j]
+            for i, x in enumerate(xs):
+                buf.write(f"{x:.17g},{y:.17g},{col[i]:.17g}\n")
+        return buf.getvalue()
+
+    @pytest.mark.parametrize("n_x,n_y", [(24, 5), (3, 40)], ids=["wide", "tall"])
+    @pytest.mark.parametrize("metadata", [None, {"tool": "anisolayer test", "eps2": 0.01}],
+                             ids=["bare", "metadata"])
+    def test_bytes_match_per_node_formatting(self, n_x, n_y, metadata):
+        rng = np.random.default_rng(n_x * n_y)
+        shape = (n_x, n_y + 1)
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        awkward = [-0.0, 5e-324, 1e300, 0.1, 1.0, 1.0 / 3.0, -1.0 / 7.0, 0.0, -2.5e-310, 12345.0]
+        values.flat[:len(awkward)] = awkward
+        values[-1] = rng.integers(-3, 4, n_y + 1)  # whole numbers, written without '.0'
+        field = Field2D(grid=Grid2D(n_x, n_y), values=values)
+        buf = io.StringIO()
+        field.write_csv(buf, metadata=metadata)
+        text = buf.getvalue()
+        assert text == self._per_node_reference(field, metadata)
+        assert text.split("x,y,value\n")[1].startswith(f"{0.5 / n_x:.17g},0,-0\n")
+        for token in ("4.9406564584124654e-324", "1.0000000000000001e+300",
+                      "0.10000000000000001", "0.33333333333333331",
+                      "-0.14285714285714285", "12345"):
+            assert f",{token}\n" in text
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
