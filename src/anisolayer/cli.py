@@ -11,7 +11,7 @@ Subcommands:
 Exit codes: 0 on success, 1 on usage errors (bad flags, unknown problem,
 inconsistent request, an output path that cannot be written; missing
 directories and directory targets are caught before any computation), 2 on
-numerical failures (no convergence or PCG breakdown, non-finite data,
+numerical failures (a solve that fails its residual check, non-finite data,
 violated integral conditions).  File outputs are deterministic for a
 fixed flag set and seed; CSV artifacts carry '#'-prefixed metadata lines
 (tool version and config echo) above the header, JSON artifacts carry the
@@ -98,6 +98,13 @@ def _positive(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    return value
+
+
 def _refine(text: str):
     return 1 if text == "1" else text
 
@@ -135,7 +142,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--nx", type=int, required=True)
     sp.add_argument("--ny", type=int, required=True)
     sp.add_argument("--tol", type=_positive, default=1e-11)
-    sp.add_argument("--max-iter", type=int, default=200)
+    sp.add_argument("--max-iter", type=_positive_int, default=200,
+                    help="cap on transform solves, refinement passes included")
     sp.add_argument("--out", required=True, help="field CSV path")
 
     sp = sub.add_parser("convergence", help="remainder table and order fits")
@@ -255,8 +263,8 @@ def _cmd_fd(args) -> int:
     grid = Grid2D(n_x=args.nx, n_y=args.ny)
     field, stats = solve_fd(p, grid, tol=args.tol, max_iter=args.max_iter)
     _field_to_csv(field, args.out, _meta(args))
-    print(f"wrote reference field to {args.out} "
-          f"({stats.iterations} iterations, residual {stats.relative_residual:.2e})")
+    print(f"wrote reference field to {args.out} ({stats.iterations} transform solve(s), "
+          f"relative residual {stats.relative_residual:.2e}, floor {stats.residual_floor:.2e})")
     return 0
 
 

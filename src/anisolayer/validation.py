@@ -54,13 +54,14 @@ from scipy.fft import dct, idct
 from ._quad import simpson_weights
 from .errors import InsufficientPoints, NonPositiveNorm
 from .expansion import composite
-from .fdsolver import CSV_FLOAT_FORMAT, DEFAULT_MAX_ITER, DEFAULT_TOL, Field2D, Grid2D, solve_fd
+from .fdsolver import (CSV_FLOAT_FORMAT, DEFAULT_MAX_ITER, DEFAULT_TOL, Field2D, Grid2D,
+                       SolveStats, solve_fd)
 from .problem import DEFAULT_QUAD_POINTS, DecomposedProblem, ProblemSpec
 from .spectral import DEFAULT_MODES, AntiderivativeStack, mode_numbers
 
 MAX_PRINCIPLE_SLACK = 1e-8
 FD_ERROR_MARGIN = 10.0
-# largest reference solve remainder_norms makes: ~1.3 GB peak with solve_fd
+# largest reference solve remainder_norms makes: ~0.6 GB peak with solve_fd
 MAX_REFERENCE_UNKNOWNS = 2**24
 
 
@@ -103,6 +104,7 @@ class ErrorReport:
     refinement: int
     refinement_capped: bool
     dirichlet_errors: dict
+    reference_solves: list
 
     def write_csv(self, stream: IO[str], metadata: dict | None = None) -> None:
         """Rows ``eps2,r0,r2,...`` with '#'-prefixed metadata lines on top."""
@@ -130,6 +132,7 @@ class ErrorReport:
                 "grid": {"n_x": self.reference_grid.n_x, "n_y": self.reference_grid.n_y},
                 "refinement": self.refinement,
                 "capped": self.refinement_capped,
+                "solves": self.reference_solves,
             },
             "n_modes": self.n_modes,
             "solver_tol": self.tol,
@@ -267,46 +270,60 @@ def _restrict_x(values: np.ndarray) -> np.ndarray:
     return idct(coeffs, type=2, axis=0, norm="ortho")
 
 
+def _solve_record(field: Field2D, stats: SolveStats) -> dict:
+    """Grid and deterministic stats of one solve (no wall time)."""
+    grid = field.grid
+    return {"grid": {"n_x": grid.n_x, "n_y": grid.n_y}, "iterations": stats.iterations,
+            "relative_residual": stats.relative_residual,
+            "residual_floor": stats.residual_floor}
+
+
 def _output_rows(p: ProblemSpec, grid: Grid2D, n_x: int, level: int,
-                 tol: float, max_iter: int) -> np.ndarray:
-    """Solve on n_x x (level n_y) cells; keep the output grid's y-rows."""
-    field, _ = solve_fd(p, Grid2D(n_x=n_x, n_y=grid.n_y * level), tol=tol, max_iter=max_iter)
-    return field.values[:, ::level].copy()
+                 tol: float, max_iter: int) -> tuple:
+    """Solve on n_x x (level n_y) cells; keep the output grid's y-rows.
+
+    Returns ``(values, solve_record)``.
+    """
+    field, stats = solve_fd(p, Grid2D(n_x=n_x, n_y=grid.n_y * level), tol=tol, max_iter=max_iter)
+    return field.values[:, ::level].copy(), _solve_record(field, stats)
 
 
 def _reference(p: ProblemSpec, grid: Grid2D, r: int, tol: float, max_iter: int,
                estimate: bool) -> tuple:
     """Reference values on ``grid`` for refinement r (see module doc).
 
-    Returns ``(values, max_principle, error_estimate)``; the max-principle
-    check covers the finest solve, the estimate is NaN unless requested.
+    Returns ``(values, max_principle, error_estimate, solves)``; the
+    max-principle check covers the finest solve, the estimate is NaN unless
+    requested, and ``solves`` records the solves the values come from.
     """
     nan = float("nan")
     if r == 1:
-        field, _ = solve_fd(p, grid, tol=tol, max_iter=max_iter)
+        field, stats = solve_fd(p, grid, tol=tol, max_iter=max_iter)
         est = (fd_self_convergence_estimate(p, field, tol=tol, max_iter=max_iter)
                if estimate else nan)
-        return field.values, max_principle_check(field, p), est
-    fine, _ = solve_fd(p, Grid2D(n_x=grid.n_x, n_y=grid.n_y * r), tol=tol, max_iter=max_iter)
+        return field.values, max_principle_check(field, p), est, [_solve_record(field, stats)]
+    fine, stats = solve_fd(p, Grid2D(n_x=grid.n_x, n_y=grid.n_y * r), tol=tol, max_iter=max_iter)
     mp = max_principle_check(fine, p)
     u_r = fine.values[:, ::r].copy()
+    solves = [_solve_record(fine, stats)]
     del fine
-    u_half = _output_rows(p, grid, grid.n_x, r // 2, tol, max_iter)
+    u_half, half_record = _output_rows(p, grid, grid.n_x, r // 2, tol, max_iter)
+    solves.append(half_record)
     ref = (4.0 * u_r - u_half) / 3.0
     if not estimate:
-        return ref, mp, nan
+        return ref, mp, nan, solves
     if grid.n_x % 2:
         raise ValueError("reference error estimate needs an even n_x")
     if r >= 4:
         level = r // 4
-        coarsest = _output_rows(p, grid, grid.n_x, level, tol, max_iter)
+        coarsest, _ = _output_rows(p, grid, grid.n_x, level, tol, max_iter)
         est_y = float(np.max(np.abs(ref - (4.0 * u_half - coarsest) / 3.0))) / 15.0
     else:
         level, coarsest = 1, u_half
         est_y = float(np.max(np.abs(u_r - u_half))) / 3.0
-    half_x = _output_rows(p, grid, grid.n_x // 2, level, tol, max_iter)
+    half_x, _ = _output_rows(p, grid, grid.n_x // 2, level, tol, max_iter)
     est_x = float(np.max(np.abs(half_x - _restrict_x(coarsest)))) / 3.0
-    return ref, mp, est_y + est_x
+    return ref, mp, est_y + est_x, solves
 
 
 def remainder_norms(p: ProblemSpec, eps2_list: Sequence[float], orders: Sequence[int],
@@ -334,9 +351,11 @@ def remainder_norms(p: ProblemSpec, eps2_list: Sequence[float], orders: Sequence
     kept out of the norms only while dy >> eps / (K pi) (module docstring).
     ``fd_error_estimates`` estimate the error of the reference actually used,
     in x and y (see the module docstring), and ``flagged`` marks each cell
-    whose estimate exceeds a tenth of its norm.  Slopes come from a
-    least-squares fit across the eps^2 values, which therefore must contain
-    at least three strictly increasing positive entries.
+    whose estimate exceeds a tenth of its norm.  ``reference_solves`` lists,
+    per eps^2, the grid, transform-solve count, relative residual and
+    residual floor of each solve the reference values come from.  Slopes
+    come from a least-squares fit across the eps^2 values, which therefore
+    must contain at least three strictly increasing positive entries.
 
     Raises:
         InsufficientPoints: fewer than 3 eps^2 values.
@@ -376,10 +395,13 @@ def remainder_norms(p: ProblemSpec, eps2_list: Sequence[float], orders: Sequence
     dirichlet = {n: [] for n in orders}
     estimates = []
     mp_results = []
+    solves = []
     for i, p_eps in enumerate(problems):
-        ref, mp, estimate = _reference(p_eps, grid, r, tol, max_iter, estimate_fd_error)
+        ref, mp, estimate, eps_solves = _reference(p_eps, grid, r, tol, max_iter,
+                                                   estimate_fd_error)
         mp_results.append(mp)
         estimates.append(estimate)
+        solves.append(eps_solves)
         for n, approx in zip(orders, built[i] if built else composites(p_eps)):
             diff = np.abs(ref - approx.evaluate_grid(xs, ys))
             norms[n].append(float(np.max(diff[:, 1:-1])))
@@ -406,4 +428,5 @@ def remainder_norms(p: ProblemSpec, eps2_list: Sequence[float], orders: Sequence
         refinement=r,
         refinement_capped=capped,
         dirichlet_errors=dirichlet,
+        reference_solves=solves,
     )

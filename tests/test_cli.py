@@ -148,13 +148,35 @@ def test_convergence_refine_auto_records_solved_grid(tmp_path, capsys):
     assert sidecar["meta"]["refine"] == "auto"
     assert "# refine: auto" in out.read_text()
     # 16 pi dy / eps_min = 11.1 rounds up to r = 16
+    solves = sidecar["reference"].pop("solves")
     assert sidecar["reference"] == {"grid": {"n_x": 64, "n_y": 512}, "refinement": 16,
                                     "capped": False}
+    # per eps^2, the two y-levels the extrapolation comes from, each certified
+    assert [[s["grid"] for s in eps_solves] for eps_solves in solves] == \
+        [[{"n_x": 64, "n_y": 512}, {"n_x": 64, "n_y": 256}]] * 3
+    for s in (s for eps_solves in solves for s in eps_solves):
+        assert s["iterations"] == 1
+        assert s["relative_residual"] <= 1e-11 + s["residual_floor"]
     assert sidecar["grid"] == {"n_x": 64, "n_y": 32}
     # the rows left out of the norm: K = 16 truncation of phi1 on y = 1
     for name in ("r0", "r2"):
         errors = sidecar["dirichlet_row_errors"][name]
         assert len(errors) == 3 and all(1e-6 < e < 1e-3 for e in errors)
+
+
+def test_convergence_sidecar_reruns_are_byte_identical(tmp_path):
+    # the reference block carries the solver diagnostics but no wall time
+    argv = ["convergence", "--problem", "paper", "--eps2", "0.02,0.05,0.1",
+            "--nx", "32", "--ny", "16", "--modes", "16", "--quad-points", "256",
+            "--refine", "auto", "--out"]
+    assert run(argv + [str(tmp_path / "a.csv")]) == 0
+    assert run(argv + [str(tmp_path / "b.csv")]) == 0
+    first = (tmp_path / "a.json").read_bytes()
+    assert first == (tmp_path / "b.json").read_bytes()
+    solves = json.loads(first)["reference"]["solves"]
+    assert len(solves) == 3
+    assert all(set(s) == {"grid", "iterations", "relative_residual", "residual_floor"}
+               for eps_solves in solves for s in eps_solves)
 
 
 def test_convergence_rejects_bad_refine(capsys):
@@ -266,6 +288,18 @@ def test_directory_output_is_usage_error_before_computing(
     _assert_one_line_usage_error(code, capsys, command, "is a directory")
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_fd_max_iter_below_one_is_usage_error(value, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli_module, "solve_fd", _refuse)
+    out = tmp_path / "field.csv"
+    code = run(["fd", "--problem", "paper", "--eps2", "0.01", "--nx", "16", "--ny", "16",
+                "--max-iter", value, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--max-iter" in err and "positive integer" in err
+    assert not out.exists()
+
+
 def test_convergence_sidecar_directory_is_usage_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli_module, "remainder_norms", _refuse)
     (tmp_path / "table.json").mkdir()
@@ -294,7 +328,8 @@ def test_fd_tiny_eps_never_writes_zero_interior(tmp_path, capsys):
         assert "numerical failure" in capsys.readouterr().err
         return
     assert code == 0
-    rows = np.loadtxt(out, delimiter=",", comments="#", skiprows=1)
+    body = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    rows = np.loadtxt(body[1:], delimiter=",")
     got = rows[:, 2].reshape(17, 16).T
     grid = Grid2D(16, 16)
     limit, _ = solve_fd(builtin_problem("paper", eps=1e-6), grid)

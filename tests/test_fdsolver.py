@@ -13,7 +13,7 @@ from anisolayer import (
     linf_distance,
     solve_fd,
 )
-from anisolayer.fdsolver import _SpectralPreconditioner
+from anisolayer import fdsolver
 
 
 class TestGrid2D:
@@ -91,19 +91,72 @@ class TestSolveFd:
         with pytest.raises(ValueError):
             solve_fd(builtin_problem("zero"), Grid2D(8, 8), tol=1e-16)
 
-    def test_no_convergence_without_preconditioner(self, monkeypatch):
-        # neutered preconditioner turns PCG into plain CG, which cannot reach
-        # 1e-11 on an anisotropic grid in two iterations
-        monkeypatch.setattr(_SpectralPreconditioner, "apply", lambda self, r: r.copy())
-        with pytest.raises(NoConvergence):
-            solve_fd(builtin_problem("paper", eps=0.05), Grid2D(64, 64), max_iter=2)
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_max_iter_below_one_rejected(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter"):
+            solve_fd(builtin_problem("paper"), Grid2D(8, 8), max_iter=max_iter)
 
-    def test_breakdown_is_no_convergence(self, monkeypatch):
-        # a preconditioner that annihilates the residual makes r.z = 0: a
-        # PCG breakdown, reported instead of dividing by zero
-        monkeypatch.setattr(_SpectralPreconditioner, "apply", lambda self, r: 0.0 * r)
-        with pytest.raises(NoConvergence, match="broke down"):
+    def test_eps_squaring_to_zero_rejected(self):
+        with pytest.raises(ValueError, match="squares to 0"):
+            solve_fd(builtin_problem("paper", eps=1e-170), Grid2D(8, 8))
+
+    @staticmethod
+    def _scale_inverse_transform(monkeypatch, factor):
+        idct = fdsolver.idct
+        monkeypatch.setattr(fdsolver, "idct", lambda *a, **kw: factor * idct(*a, **kw))
+
+    def test_perturbed_solve_is_no_convergence(self, monkeypatch):
+        # a solve 1e-6 off leaves a relative residual of 1e-6, which fails
+        # the check with one transform solve; a refinement pass mends it
+        self._scale_inverse_transform(monkeypatch, 1.0 + 1e-6)
+        p, grid = builtin_problem("paper", eps=0.05), Grid2D(64, 64)
+        with pytest.raises(NoConvergence, match="exceeds tol"):
+            solve_fd(p, grid, max_iter=1)
+        _, stats = solve_fd(p, grid, max_iter=2)
+        assert stats.iterations == 2
+        assert stats.relative_residual <= 1e-11 + stats.residual_floor
+
+    def test_non_finite_solve_is_no_convergence(self, monkeypatch):
+        self._scale_inverse_transform(monkeypatch, np.nan)
+        with pytest.raises(NoConvergence):
             solve_fd(builtin_problem("paper", eps=0.2), Grid2D(16, 16))
+
+    def test_relative_residual_is_the_true_residual(self, monkeypatch):
+        # recompute ||b - A u|| / ||b|| with an independent sparse stencil, on
+        # a field perturbed so that its residual sits far above rounding
+        from scipy import sparse
+
+        eps2, grid = 0.01, Grid2D(12, 10)
+        p = builtin_problem("paper", eps=float(np.sqrt(eps2)))
+        self._scale_inverse_transform(monkeypatch, 1.0 + 1e-6)
+        field, stats = solve_fd(p, grid, tol=1e-3, max_iter=1)
+        nx, m = grid.n_x, grid.n_y - 1
+
+        def second_difference(n, h):
+            return sparse.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)],
+                               [-1, 0, 1], format="lil") / h**2
+
+        a_x = second_difference(nx, grid.dx)
+        a_x[0, 0] = a_x[-1, -1] = 1.0 / grid.dx**2  # reflected ghosts
+        a = sparse.kron(a_x, sparse.eye(m)) + eps2 * sparse.kron(
+            sparse.eye(nx), second_difference(m, grid.dy))
+        xs, ys = grid.x_nodes(), grid.y_nodes()
+        b = eps2 * p.f(xs[:, None], ys[None, 1:-1])
+        b[:, 0] += eps2 / grid.dy**2 * p.phi0(xs)
+        b[:, -1] += eps2 / grid.dy**2 * p.phi1(xs)
+        u = field.values[:, 1:-1].ravel()
+        expected = np.linalg.norm(b.ravel() - a @ u) / np.linalg.norm(b)
+        assert expected > 1e-7
+        assert stats.relative_residual == pytest.approx(expected, rel=1e-3)
+
+    def test_tiny_eps_reaches_the_limit(self):
+        # the discrete solution tends to its eps -> 0 limit, which the
+        # eps^2 = 1e-12 solve already sits at on this grid
+        grid = Grid2D(16, 16)
+        limit, _ = solve_fd(builtin_problem("paper", eps=1e-6), grid)
+        for eps2 in (1e-32, 1e-40, 1e-100, 1e-300, 1e-320, 5e-324):
+            field, _ = solve_fd(builtin_problem("paper", eps=float(np.sqrt(eps2))), grid)
+            assert np.max(np.abs(field.values - limit.values)) <= 1e-8, eps2
 
 
 class TestLinfDistance:

@@ -231,7 +231,10 @@ class TestRemainderNorms:
         assert report.refinement_capped
         assert all(report.flagged[0])
         ref = report.sidecar_dict()["reference"]
+        solves = ref.pop("solves")
         assert ref == {"grid": {"n_x": 16, "n_y": 128}, "refinement": 4, "capped": True}
+        assert solves == report.reference_solves
+        assert [s["grid"] for s in solves[0]] == [{"n_x": 16, "n_y": 128}, {"n_x": 16, "n_y": 64}]
 
     def test_force_only_problem_needs_no_refinement(self):
         # zero boundary data and a constant force: with 128 quadrature points
