@@ -32,7 +32,6 @@ from .expansion import (
     layer_term,
     mean_solution,
     mean_solution_bvp,
-    outer_term2,
 )
 from .fdsolver import Field2D, Grid2D, SolveStats, linf_distance, solve_fd
 from .montecarlo import McConfig, McEstimate, estimate_point, reflect_unit_interval
@@ -49,10 +48,12 @@ from .problem import (
 from .spectral import (
     AntiderivativeStack,
     CosineSeries,
+    analyze,
     build_antiderivatives,
     cosine_coeffs,
     decaying_exp,
     eval_series,
+    synthesize,
 )
 from .validation import (
     ErrorReport,
@@ -94,6 +95,7 @@ __all__ = [
     "ProblemSpec",
     "SolveStats",
     "UnknownProblem",
+    "analyze",
     "builtin_problem",
     "build_antiderivatives",
     "check_compatibility",
@@ -112,8 +114,8 @@ __all__ = [
     "max_principle_check",
     "mean_solution",
     "mean_solution_bvp",
-    "outer_term2",
     "reflect_unit_interval",
     "remainder_norms",
     "solve_fd",
+    "synthesize",
 ]

@@ -41,7 +41,7 @@ from .errors import (
     UnknownProblem,
 )
 from .expansion import composite
-from .fdsolver import Field2D, Grid2D, solve_fd
+from .fdsolver import DEFAULT_MAX_ITER, DEFAULT_TOL, Field2D, Grid2D, solve_fd
 from .montecarlo import McConfig, estimate_point
 from .problem import (
     BUILTIN_PROBLEM_NAMES,
@@ -141,8 +141,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--eps2", type=_positive, required=True)
     sp.add_argument("--nx", type=int, required=True)
     sp.add_argument("--ny", type=int, required=True)
-    sp.add_argument("--tol", type=_positive, default=1e-11)
-    sp.add_argument("--max-iter", type=_positive_int, default=200,
+    sp.add_argument("--tol", type=_positive, default=DEFAULT_TOL)
+    sp.add_argument("--max-iter", type=_positive_int, default=DEFAULT_MAX_ITER,
                     help="cap on transform solves, refinement passes included")
     sp.add_argument("--out", required=True, help="field CSV path")
 
@@ -156,7 +156,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--ny", type=int, required=True)
     sp.add_argument("--modes", type=int, default=DEFAULT_MODES)
     sp.add_argument("--quad-points", type=int, default=DEFAULT_QUAD_POINTS)
-    sp.add_argument("--tol", type=_positive, default=1e-11)
+    sp.add_argument("--tol", type=_positive, default=DEFAULT_TOL)
     sp.add_argument("--no-fd-error-estimate", action="store_true",
                     help="skip the estimate of the reference's own error")
     sp.add_argument("--refine", type=_refine, choices=(1, "auto"), default=1,
@@ -180,9 +180,9 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("identity", help="matching-identity deviation")
     add_problem(sp)
-    sp.add_argument("--kmax", type=int, default=8, help="largest checked mode")
+    sp.add_argument("--kmax", type=_positive_int, default=8, help="largest checked mode")
     sp.add_argument("--quad-points", type=int, default=4096)
-    sp.add_argument("--y-samples", type=int, default=9,
+    sp.add_argument("--y-samples", type=_positive_int, default=9,
                     help="number of uniform y sample points")
     sp.add_argument("--out", help="JSON path; stdout when omitted")
 

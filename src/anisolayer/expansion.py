@@ -24,10 +24,8 @@ stored coefficient arrays so callers can judge the tails.
 
 from __future__ import annotations
 
-import threading
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
@@ -38,11 +36,12 @@ from .errors import MissingDerivatives
 from .problem import DEFAULT_QUAD_POINTS, DecomposedProblem, ProblemSpec, decompose
 from .spectral import (
     DEFAULT_MODES,
-    AntiderivativeStack,
     CosineSeries,
+    analyze,
     cosine_coeffs,
     decaying_exp,
     mode_numbers,
+    synthesize,
 )
 
 EPS_WARN_THRESHOLD = 0.5
@@ -126,23 +125,6 @@ def mean_solution_bvp(d: DecomposedProblem, n_cells: int) -> np.ndarray:
     return out
 
 
-def outer_term2(stack: AntiderivativeStack) -> Callable:
-    """Second-order outer correction -F_2(x, y) + F_3(1, y).
-
-    Kept for validation; the composite evaluator reproduces this term through
-    the cosine coefficients instead.
-    """
-
-    def u2(x, y):
-        y_arr = np.asarray(y, dtype=float)
-        if y_arr.ndim == 0:
-            return -stack.eval(2, x, float(y_arr)) + stack.eval(3, 1.0, float(y_arr))
-        cols = [-stack.eval(2, x, yv) + stack.eval(3, 1.0, yv) for yv in y_arr.ravel()]
-        return np.stack(cols, axis=-1).reshape(np.shape(x) + y_arr.shape)
-
-    return u2
-
-
 @dataclass(frozen=True)
 class LayerTerm:
     """One exponential boundary layer sum_k c_k e^{-k pi s/eps} cos(k pi x).
@@ -167,17 +149,17 @@ class LayerTerm:
         """Decay rate k pi per mode in the stretched coordinate."""
         return np.pi * mode_numbers(self.series.n_modes)
 
-    def __call__(self, x, y):
-        x_arr = np.asarray(x, dtype=float)
+    def coeffs(self, y) -> np.ndarray:
+        """Damped coefficients c_k e^{-k pi s/eps}, shape (K,) + y.shape."""
         y_arr = np.asarray(y, dtype=float)
         s = y_arr if self.side == "bottom" else 1.0 - y_arr
-        k = mode_numbers(self.series.n_modes)
-        damped = self.series.coeffs * decaying_exp(
-            -np.pi * np.multiply.outer(s, k) / self.eps
-        )
-        out = np.einsum("...k,...k->...",
-                        np.cos(np.pi * np.multiply.outer(x_arr, k)), damped)
-        return out if out.ndim else float(out)
+        c = self.series.coeffs.reshape((-1,) + (1,) * s.ndim)
+        return c * decaying_exp(-np.pi * np.multiply.outer(mode_numbers(c.shape[0]), s)
+                                / self.eps)
+
+    def __call__(self, x, y):
+        """The layer at (x, y); x and y broadcast elementwise."""
+        return synthesize(self.coeffs(y), x)
 
 
 def layer_term(series: CosineSeries, side: str, eps: float) -> LayerTerm:
@@ -191,9 +173,9 @@ class ExpansionResult:
     The evaluator is, by construction, the exact sum of four component
     evaluators: ``mean_part`` (the y-only profile), ``outer_part`` (the even
     outer corrections, identically zero at order 0), ``bottom_layer`` and
-    ``top_layer``.  Evaluation is vectorized; ``evaluate_grid`` fills a full
-    tensor grid in one shot and memoizes the per-y force coefficients, so
-    repeated evaluations on the same y-lines are cheap.
+    ``top_layer`` (``LayerTerm``s over the layer amplitudes).  Evaluation is
+    vectorized; ``evaluate_grid`` fills a full tensor grid with one cosine
+    synthesis of the summed coefficients.
     """
 
     def __init__(self, p: ProblemSpec, order: int, n_modes: int, quad_points: int):
@@ -208,77 +190,42 @@ class ExpansionResult:
         self.bottom_series = cosine_coeffs(d.phitilde0, self.n_modes, self.quad_points)
         self.top_series = cosine_coeffs(d.phitilde1, self.n_modes, self.quad_points)
 
-        self._k = mode_numbers(self.n_modes)
-        self._xq = unit_nodes(self.quad_points)
-        self._wq = simpson_weights(self.quad_points)
-        self._cosq = np.cos(np.outer(self._k, np.pi * self._xq))
-
-        # force-fluctuation derivative sources, one per even correction term
+        # force-fluctuation derivative sources, one per even correction term,
+        # and their eps^{2m} / (k pi)^{2m} prefactors
+        k = mode_numbers(self.n_modes)
         self._sources = []
+        self._prefactors = []
         for m in range(1, self.order + 1):
             j = 2 * m - 2
             self._sources.append(p.f if j == 0 else p.f_y_derivs[j - 1])
-        self._memo = [dict() for _ in self._sources]
-        self._lock = threading.Lock()
+            self._prefactors.append((self.eps ** (2 * m)) / (np.pi * k) ** (2 * m))
 
-        # eps^{2m} / (k pi)^{2m} prefactors and the layer anchor coefficients
-        self._prefactors = [
-            (self.eps ** (2 * m)) / (np.pi * self._k) ** (2 * m)
-            for m in range(1, self.order + 1)
-        ]
-        self._fk0 = [self._force_coeffs(m, np.array([0.0]))[:, 0]
-                     for m in range(1, self.order + 1)]
-        self._fk1 = [self._force_coeffs(m, np.array([1.0]))[:, 0]
-                     for m in range(1, self.order + 1)]
-        self._bottom_amp = self.bottom_series.coeffs.copy()
-        self._top_amp = self.top_series.coeffs.copy()
-        for m in range(1, self.order + 1):
-            self._bottom_amp -= self._prefactors[m - 1] * self._fk0[m - 1]
-            self._top_amp -= self._prefactors[m - 1] * self._fk1[m - 1]
+        # each layer cancels the outer corrections on its own Dirichlet side
+        ends = self._outer_coeffs(np.array([0.0, 1.0]))
+        bottom_amp = self.bottom_series.coeffs - ends[:, 0]
+        top_amp = self.top_series.coeffs - ends[:, 1]
+        self.bottom_layer = LayerTerm("bottom", CosineSeries(bottom_amp), self.eps)
+        self.top_layer = LayerTerm("top", CosineSeries(top_amp), self.eps)
 
-    def _force_coeffs(self, m: int, ys: np.ndarray) -> np.ndarray:
-        """Cosine coefficients of the (2m-2)-nd y-derivative of ftilde at each y."""
-        memo = self._memo[m - 1]
-        with self._lock:
-            missing = [y for y in ys if float(y) not in memo]
-        if missing:
-            ym = np.asarray(missing, dtype=float)
-            vals = check_finite(self._sources[m - 1](self._xq[:, None], ym[None, :]),
-                                "force derivative")
-            vals = vals - (self._wq @ vals)[None, :]  # keep zero x-mean exactly
-            coeffs = 2.0 * self._cosq @ (self._wq[:, None] * vals)
-            with self._lock:
-                for i, y in enumerate(missing):
-                    memo[float(y)] = coeffs[:, i]
-        with self._lock:
-            return np.stack([memo[float(y)] for y in ys], axis=1)
+    def _outer_coeffs(self, y) -> np.ndarray:
+        """Cosine coefficients of the even outer corrections, shape (K,) + y.shape.
 
-    # -- per-part coefficient matrices, shape (K, n_y) ----------------------
-
-    def _exp_factors(self, ys: np.ndarray):
-        arg = np.pi * np.outer(self._k, ys) / self.eps
-        return decaying_exp(-arg), decaying_exp(-(np.pi / self.eps) * np.outer(self._k, 1.0 - ys))
-
-    def _outer_coeffs(self, ys: np.ndarray) -> np.ndarray:
-        c = np.zeros((self.n_modes, ys.size))
-        for m in range(1, self.order + 1):
-            c += self._prefactors[m - 1][:, None] * self._force_coeffs(m, ys)
-        return c
+        The m-th correction is eps^{2m} / (k pi)^{2m} times the coefficients
+        of the (2m-2)-nd y-derivative of ftilde at each y.
+        """
+        y = np.asarray(y, dtype=float)
+        xq = unit_nodes(self.quad_points)
+        w = simpson_weights(self.quad_points)
+        c = np.zeros((self.n_modes, y.size))
+        for source, prefactor in zip(self._sources, self._prefactors):
+            vals = check_finite(source(xq[:, None], y.reshape(1, -1)), "force derivative")
+            vals = vals - (w @ vals)[None, :]  # keep zero x-mean exactly
+            c += prefactor[:, None] * analyze(vals, self.n_modes)
+        return c.reshape((self.n_modes,) + y.shape)
 
     def layer_amplitudes(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-mode amplitudes (k = 1..K) of the bottom and top layers."""
-        return self._bottom_amp.copy(), self._top_amp.copy()
-
-    def _bottom_coeffs(self, e_bot: np.ndarray) -> np.ndarray:
-        return self._bottom_amp[:, None] * e_bot
-
-    def _top_coeffs(self, e_top: np.ndarray) -> np.ndarray:
-        return self._top_amp[:, None] * e_top
-
-    # -- public evaluators ---------------------------------------------------
-
-    def _synthesize(self, xs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-        return np.cos(np.pi * np.outer(xs, self._k)) @ coeffs
+        return self.bottom_layer.series.coeffs.copy(), self.top_layer.series.coeffs.copy()
 
     def mean_part(self, x, y):
         """Mean profile, broadcast over x."""
@@ -289,30 +236,7 @@ class ExpansionResult:
 
     def outer_part(self, x, y):
         """Even outer corrections; identically zero at order 0."""
-        return self._part(x, y, "outer")
-
-    def bottom_layer(self, x, y):
-        """Layer decaying from y = 0."""
-        return self._part(x, y, "bottom")
-
-    def top_layer(self, x, y):
-        """Layer decaying from y = 1."""
-        return self._part(x, y, "top")
-
-    def _part(self, x, y, which: str):
-        x_arr, y_arr = np.broadcast_arrays(np.asarray(x, dtype=float),
-                                           np.asarray(y, dtype=float))
-        ys = np.atleast_1d(y_arr).ravel()
-        e_bot, e_top = self._exp_factors(ys)
-        if which == "outer":
-            coeffs = self._outer_coeffs(ys)
-        elif which == "bottom":
-            coeffs = self._bottom_coeffs(e_bot)
-        else:
-            coeffs = self._top_coeffs(e_top)
-        cosx = np.cos(np.pi * np.outer(np.atleast_1d(x_arr).ravel(), self._k))
-        vals = np.einsum("ik,ki->i", cosx, coeffs)
-        return vals.reshape(x_arr.shape) if x_arr.ndim else float(vals[0])
+        return synthesize(self._outer_coeffs(y), x)
 
     def __call__(self, x, y):
         """u[2n](x, y); x and y broadcast elementwise."""
@@ -323,12 +247,8 @@ class ExpansionResult:
         """Values on the tensor grid, shape (len(xs), len(ys))."""
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
-        e_bot, e_top = self._exp_factors(ys)
-        mean_grid = np.broadcast_to(self.mean(ys)[None, :], (xs.size, ys.size)).copy()
-        return (mean_grid
-                + self._synthesize(xs, self._outer_coeffs(ys))
-                + self._synthesize(xs, self._bottom_coeffs(e_bot))
-                + self._synthesize(xs, self._top_coeffs(e_top)))
+        coeffs = self._outer_coeffs(ys) + self.bottom_layer.coeffs(ys) + self.top_layer.coeffs(ys)
+        return self.mean(ys)[None, :] + synthesize(coeffs, xs[:, None])
 
 
 def composite(p: ProblemSpec, order: int = 0, n_modes: int = DEFAULT_MODES,

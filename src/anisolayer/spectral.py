@@ -3,7 +3,10 @@
 Zero-mean smooth functions on [0, 1] are represented by truncated series
 sum_k c_k cos(k pi x), k = 1..K; the k = 0 coefficient vanishes for zero-mean
 data and is never stored.  The cosine basis is the natural one here because
-it satisfies the Neumann side conditions of the model equation.
+it satisfies the Neumann side conditions of the model equation.  Every
+cosine transform in the package goes through the two kernels here:
+``analyze`` (samples on the Simpson nodes -> coefficients) and ``synthesize``
+(coefficients -> values at any x).
 
 The second half of the module builds the stack of repeated x-antiderivatives
 F_0 = g, F_n(x, y) = integral_0^x F_{n-1}(z, y) dz of a zero-x-mean function
@@ -12,7 +15,6 @@ g, which the second-order outer correction of the expansion is made of.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,11 +65,40 @@ class CosineSeries:
         return float(abs(self.coeffs[-1]))
 
     def __call__(self, x):
-        return eval_series(self, x)
+        return synthesize(self.coeffs, x)
 
 
 def mode_numbers(n_modes: int) -> np.ndarray:
     return np.arange(1, n_modes + 1)
+
+
+def analyze(values, n_modes: int) -> np.ndarray:
+    """Cosine coefficients c_k = 2 integral_0^1 g(x) cos(k pi x) dx, k = 1..K.
+
+    ``values`` holds g on the ``n + 1`` Simpson nodes ``unit_nodes(n)`` along
+    axis 0 (n even); trailing axes are independent columns, so the result has
+    shape ``(K,) + values.shape[1:]``.
+    """
+    vals = np.asarray(values, dtype=float)
+    n = vals.shape[0] - 1
+    w = simpson_weights(n).reshape((-1,) + (1,) * (vals.ndim - 1))
+    basis = np.cos(np.outer(mode_numbers(n_modes), np.pi * unit_nodes(n)))
+    return 2.0 * np.tensordot(basis, w * vals, axes=1)
+
+
+def synthesize(coeffs, x):
+    """sum_k coeffs[k, ...] cos(k pi x), k = 1..K.
+
+    ``x`` broadcasts against ``coeffs.shape[1:]``: a 1-D series evaluates at
+    any x, a ``(K, P)`` matrix at P paired points x of shape ``(P,)``, and a
+    ``(K, n_y)`` matrix on the tensor grid with ``x[:, None]``, giving
+    ``(n_x, n_y)``.  A 0-d result is returned as a float.
+    """
+    c = np.asarray(coeffs, dtype=float)
+    basis = np.cos(np.pi * np.multiply.outer(np.asarray(x, dtype=float),
+                                             mode_numbers(c.shape[0])))
+    out = np.einsum("...k,k...->...", basis, c, optimize=True)
+    return out if out.ndim else float(out)
 
 
 def cosine_coeffs(g, n_modes: int = DEFAULT_MODES,
@@ -82,22 +113,16 @@ def cosine_coeffs(g, n_modes: int = DEFAULT_MODES,
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
     n = require_even(quad_points)
-    xq = unit_nodes(n)
-    w = simpson_weights(n)
-    vals = check_finite(g(xq), "series input")
-    mean = float(w @ vals)
+    vals = check_finite(g(unit_nodes(n)), "series input")
+    mean = float(simpson_weights(n) @ vals)
     if abs(mean) > ZERO_MEAN_TOL:
         raise NotZeroMean(f"input integrates to {mean:.3e}, expected 0")
-    cosmat = np.cos(np.outer(mode_numbers(n_modes), np.pi * xq))
-    return CosineSeries(2.0 * cosmat @ (w * vals))
+    return CosineSeries(analyze(vals, n_modes))
 
 
 def eval_series(series: CosineSeries, x):
     """Evaluate sum_k c_k cos(k pi x); x may be a scalar or an array."""
-    x_arr = np.asarray(x, dtype=float)
-    cosmat = np.cos(np.outer(x_arr.ravel(), np.pi * mode_numbers(series.n_modes)))
-    out = cosmat @ series.coeffs
-    return out.reshape(x_arr.shape) if x_arr.ndim else float(out[0])
+    return synthesize(series.coeffs, x)
 
 
 @dataclass
@@ -105,17 +130,14 @@ class AntiderivativeStack:
     """Repeated x-antiderivatives F_0..F_3 of the fluctuating force.
 
     F_0(x, y) = ftilde(x, y) and F_n(x, y) = integral_0^x F_{n-1}(z, y) dz,
-    computed by cumulative Simpson on a fixed x-grid, once per distinct y and
-    memoized.  Because ftilde has zero x-mean, F_1(1, y) must vanish; every
-    freshly computed column is checked and the stack refuses to proceed when
-    the condition fails.
+    computed by cumulative Simpson on a fixed x-grid for each requested y.
+    Because ftilde has zero x-mean, F_1(1, y) must vanish; every column is
+    checked and the stack refuses to proceed when the condition fails.
     """
 
     ftilde: object
     quad_points: int
     _x: np.ndarray = field(init=False, repr=False)
-    _cache: dict = field(init=False, repr=False, default_factory=dict)
-    _lock: threading.Lock = field(init=False, repr=False, default_factory=threading.Lock)
 
     def __post_init__(self) -> None:
         self.quad_points = require_even(self.quad_points)
@@ -125,32 +147,25 @@ class AntiderivativeStack:
     def x_grid(self) -> np.ndarray:
         return self._x
 
-    def _column(self, y: float):
-        key = float(y)
-        with self._lock:
-            hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        f0 = check_finite(self.ftilde(self._x, key), "ftilde")
+    def columns(self, y: float) -> tuple:
+        """(F_0, F_1, F_2, F_3) at y, sampled on ``x_grid``."""
+        y = float(y)
+        f0 = check_finite(self.ftilde(self._x, y), "ftilde")
         f1 = cumulative_simpson(f0, x=self._x, initial=0.0)
         if abs(f1[-1]) > INTEGRAL_CONDITION_TOL:
             raise IntegralConditionViolated(
-                f"F_1(1, y={key:g}) = {f1[-1]:.3e} exceeds {INTEGRAL_CONDITION_TOL:g}; "
+                f"F_1(1, y={y:g}) = {f1[-1]:.3e} exceeds {INTEGRAL_CONDITION_TOL:g}; "
                 "the force fluctuation does not integrate to zero over x"
             )
         f2 = cumulative_simpson(f1, x=self._x, initial=0.0)
         f3 = cumulative_simpson(f2, x=self._x, initial=0.0)
-        col = tuple(CubicSpline(self._x, fn) for fn in (f0, f1, f2, f3))
-        with self._lock:
-            self._cache[key] = col
-        return col
+        return f0, f1, f2, f3
 
     def eval(self, n: int, x, y: float):
         """F_n(x, y) for n in 0..3; x scalar or array, y scalar."""
         if not 0 <= n <= 3:
             raise ValueError(f"antiderivative order must be 0..3, got {n}")
-        spline = self._column(y)[n]
-        out = spline(np.asarray(x, dtype=float))
+        out = CubicSpline(self._x, self.columns(y)[n])(np.asarray(x, dtype=float))
         return out if np.ndim(x) else float(out)
 
 

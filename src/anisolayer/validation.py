@@ -51,13 +51,12 @@ from typing import IO, Literal, Sequence
 import numpy as np
 from scipy.fft import dct, idct
 
-from ._quad import simpson_weights
 from .errors import InsufficientPoints, NonPositiveNorm
 from .expansion import composite
 from .fdsolver import (CSV_FLOAT_FORMAT, DEFAULT_MAX_ITER, DEFAULT_TOL, Field2D, Grid2D,
                        SolveStats, solve_fd)
 from .problem import DEFAULT_QUAD_POINTS, DecomposedProblem, ProblemSpec
-from .spectral import DEFAULT_MODES, AntiderivativeStack, mode_numbers
+from .spectral import DEFAULT_MODES, AntiderivativeStack, analyze, mode_numbers
 
 MAX_PRINCIPLE_SLACK = 1e-8
 FD_ERROR_MARGIN = 10.0
@@ -197,19 +196,23 @@ def matching_identity_check(d: DecomposedProblem, stack: AntiderivativeStack,
 
     For each sampled y and mode k, compares the cosine coefficient of the
     outer correction -F_2(., y) + F_3(1, y) against ftilde_k(y) / (k pi)^2;
-    both sides are integrated on the stack's own grid.
+    both sides are integrated on the stack's own grid, with ftilde read as
+    the stack's F_0, so ``stack`` must be built from ``d``.
+
+    Raises:
+        ValueError: ``n_modes < 1`` or no y samples, which would check nothing.
     """
+    if n_modes < 1:
+        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
     ys = np.linspace(0.0, 1.0, 9) if y_samples is None else np.asarray(y_samples, dtype=float)
-    xq = stack.x_grid
-    w = simpson_weights(stack.quad_points)
+    if ys.size == 0:
+        raise ValueError("matching-identity check needs at least one y sample")
     k = mode_numbers(n_modes)
-    cosmat = np.cos(np.outer(k, np.pi * xq))
     worst = 0.0
     for y in ys:
-        outer_vals = -stack.eval(2, xq, float(y)) + stack.eval(3, 1.0, float(y))
-        lhs = 2.0 * cosmat @ (w * outer_vals)
-        ftilde_k = 2.0 * cosmat @ (w * d.ftilde(xq, float(y)))
-        rhs = ftilde_k / (k * np.pi) ** 2
+        f0, _, f2, f3 = stack.columns(y)
+        lhs = analyze(f3[-1] - f2, n_modes)
+        rhs = analyze(f0, n_modes) / (k * np.pi) ** 2
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 
@@ -220,17 +223,16 @@ def fd_self_convergence_estimate(p: ProblemSpec, fine: Field2D,
     """Richardson estimate of the five-point solution's own error.
 
     Solves once more on the half-resolution grid, restricts the fine solution
-    onto it (fine y-nodes contain the coarse ones; coarse x-nodes are exact
-    midpoints of fine pairs) and returns one third of the sup-norm difference,
-    the second-order Richardson constant.
+    onto it (fine y-nodes contain the coarse ones; in x the first n_x / 2
+    cosine modes are resampled, see ``_restrict_x``) and returns one third of
+    the sup-norm difference, the second-order Richardson constant.
     """
     grid = fine.grid
     if grid.n_x % 2 or grid.n_y % 2:
         raise ValueError("self-convergence estimate needs even cell counts")
     coarse_grid = Grid2D(n_x=grid.n_x // 2, n_y=grid.n_y // 2)
     coarse, _ = solve_fd(p, coarse_grid, tol=tol, max_iter=max_iter)
-    v = fine.values
-    restricted = 0.5 * (v[0::2, 0::2] + v[1::2, 0::2])
+    restricted = _restrict_x(fine.values[:, 0::2])
     return float(np.max(np.abs(restricted - coarse.values)) / 3.0)
 
 

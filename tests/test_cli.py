@@ -230,6 +230,17 @@ def test_identity_json(tmp_path):
     assert len(payload["y_samples"]) == 9
 
 
+@pytest.mark.parametrize("flag", ["--kmax", "--y-samples"])
+def test_identity_empty_check_is_usage_error(flag, tmp_path, capsys):
+    out = tmp_path / "identity.json"
+    code = run(["identity", "--problem", "paper", "--quad-points", "64",
+                flag, "0", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert flag in err and "positive integer" in err
+    assert not out.exists()
+
+
 def test_numerical_failure_maps_to_exit_2(monkeypatch, capsys):
     def explode(*args, **kwargs):
         raise NoConvergence("stalled")

@@ -6,7 +6,6 @@ from anisolayer import (
     MissingDerivatives,
     ProblemSpec,
     builtin_problem,
-    build_antiderivatives,
     composite,
     cosine_coeffs,
     decompose,
@@ -14,7 +13,6 @@ from anisolayer import (
     layer_term,
     mean_solution,
     mean_solution_bvp,
-    outer_term2,
 )
 
 
@@ -89,30 +87,30 @@ class TestMeanSolutionBvp:
             mean_solution_bvp(d, 3)
 
 
+def _outer_term2(p, quad_points):
+    """Second-order outer correction -F_2(x, y) + F_3(1, y), as outer_part / eps^2."""
+    u = composite(p, order=1, n_modes=64, quad_points=quad_points)
+    return lambda x, y: u.outer_part(x, y) / p.eps**2
+
+
 class TestOuterTerm2:
     def test_zero_force(self):
-        stack = build_antiderivatives(decompose(builtin_problem("zero"), quad_points=64),
-                                      quad_points=64)
-        u2 = outer_term2(stack)
+        u2 = _outer_term2(builtin_problem("zero"), quad_points=64)
         xs = np.linspace(0, 1, 9)
         assert np.allclose(u2(xs, 0.5), 0.0, atol=1e-14)
 
     def test_closed_form_oracle(self):
         # ftilde = cos(pi x) g(y) -> outer term g(y) cos(pi x)/pi^2
         g = lambda y: 2.0 - y
-        d0 = decompose(builtin_problem("zero"), quad_points=512)
-        d = type(d0)(fbar=d0.fbar, ftilde=lambda x, y: np.cos(np.pi * x) * g(y),
-                     phibar0=0.0, phibar1=0.0, phitilde0=d0.phitilde0,
-                     phitilde1=d0.phitilde1, quad_points=512)
-        u2 = outer_term2(build_antiderivatives(d, quad_points=512))
+        p = ProblemSpec(f=lambda x, y: np.cos(np.pi * x) * g(y), phi0=lambda x: 0 * x,
+                        phi1=lambda x: 0 * x, eps=0.1)
+        u2 = _outer_term2(p, quad_points=512)
         xs = np.linspace(0, 1, 21)
         for y in (0.0, 0.4, 1.0):
             assert np.allclose(u2(xs, y), g(y) * np.cos(np.pi * xs) / np.pi**2, atol=1e-9)
 
     def test_zero_x_mean_per_y(self):
-        d = decompose(builtin_problem("paper"))
-        stack = build_antiderivatives(d, quad_points=1024)
-        u2 = outer_term2(stack)
+        u2 = _outer_term2(builtin_problem("paper"), quad_points=1024)
         x = np.linspace(0, 1, 1025)
         w = np.ones(1025)
         w[1:-1:2], w[2:-1:2] = 4.0, 2.0

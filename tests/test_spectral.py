@@ -5,12 +5,14 @@ from anisolayer import (
     CosineSeries,
     IntegralConditionViolated,
     NotZeroMean,
+    analyze,
     build_antiderivatives,
     builtin_problem,
     cosine_coeffs,
     decompose,
     decaying_exp,
     eval_series,
+    synthesize,
 )
 
 # frozen from a 1e6-node Simpson quadrature of 16 x^2 (x-1)^2 - 8/15
@@ -67,6 +69,34 @@ class TestEvalSeries:
         xs = np.linspace(0, 1, 7)
         expected = np.cos(np.pi * xs) + 0.5 * np.cos(2 * np.pi * xs)
         assert np.allclose(s(xs), expected, atol=1e-14)
+
+
+def test_analyze_synthesize_kernel():
+    # two band-limited columns: 0.5 cos(pi x) - 0.25 cos(3 pi x) and 2 cos(2 pi x)
+    coeffs = np.array([[0.5, 0.0], [0.0, 2.0], [-0.25, 0.0], [0.0, 0.0]])
+
+    def by_hand(c, x):
+        return sum(c[k - 1] * np.cos(k * np.pi * x) for k in range(1, c.shape[0] + 1))
+
+    nodes = np.linspace(0.0, 1.0, 257)
+    samples = by_hand(coeffs, nodes[:, None])
+    assert samples.shape == (257, 2)
+    assert np.allclose(analyze(samples, 4), coeffs, atol=1e-10)
+    assert np.allclose(synthesize(analyze(samples, 4), nodes[:, None]), samples, atol=1e-10)
+
+    # a series at a scalar and at any array of x
+    assert synthesize(coeffs[:, 0], 0.3) == pytest.approx(by_hand(coeffs[:, 0], 0.3), abs=1e-14)
+    assert isinstance(synthesize(coeffs[:, 0], 0.3), float)
+    xs = np.linspace(0, 1, 12).reshape(3, 4)
+    assert np.allclose(synthesize(coeffs[:, 1], xs), by_hand(coeffs[:, 1], xs), atol=1e-14)
+    # a (K, P) matrix at P paired points
+    xp = np.array([0.1, 0.7])
+    paired = np.array([by_hand(coeffs[:, i], xp[i]) for i in range(2)])
+    assert np.allclose(synthesize(coeffs, xp), paired, atol=1e-14)
+    # a (K, n_y) matrix on the tensor grid
+    grid = synthesize(coeffs, nodes[:, None])
+    assert grid.shape == (257, 2)
+    assert np.allclose(grid, samples, atol=1e-14)
 
 
 def test_series_reconstruction_error_decreases():

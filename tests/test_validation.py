@@ -99,6 +99,13 @@ class TestMatchingIdentity:
         stack = build_antiderivatives(d, quad_points=4096)
         assert matching_identity_check(d, stack, n_modes=8) <= 1e-7
 
+    @pytest.mark.parametrize("n_modes,y_samples", [(0, None), (-1, None), (4, [])])
+    def test_empty_check_rejected(self, n_modes, y_samples):
+        d = decompose(builtin_problem("paper"), quad_points=64)
+        stack = build_antiderivatives(d, quad_points=64)
+        with pytest.raises(ValueError):
+            matching_identity_check(d, stack, n_modes=n_modes, y_samples=y_samples)
+
 
 class TestSelfConvergenceEstimate:
     def test_matches_true_error_on_smooth_problem(self):
@@ -111,6 +118,17 @@ class TestSelfConvergenceEstimate:
         approx = composite(p, order=0, n_modes=8, quad_points=256)
         true_err = float(np.max(np.abs(
             field.values - approx.evaluate_grid(grid.x_nodes(), grid.y_nodes()))))
+        est = fd_self_convergence_estimate(p, field)
+        assert est == pytest.approx(true_err, rel=0.25)
+
+    def test_matches_true_x_error_with_layers(self):
+        # paper problem: the x-discretization error dominates on 64 x 4096;
+        # the true one is the distance to a 3x x-refined solve, whose nodes
+        # [1::3] coincide with the 64-cell staggered nodes
+        p = builtin_problem("paper", eps=float(np.sqrt(0.1)))
+        field, _ = solve_fd(p, Grid2D(64, 4096))
+        fine, _ = solve_fd(p, Grid2D(192, 4096))
+        true_err = float(np.max(np.abs(field.values - fine.values[1::3])))
         est = fd_self_convergence_estimate(p, field)
         assert est == pytest.approx(true_err, rel=0.25)
 
