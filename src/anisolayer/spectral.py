@@ -97,7 +97,8 @@ def synthesize(coeffs, x):
     c = np.asarray(coeffs, dtype=float)
     basis = np.cos(np.pi * np.multiply.outer(np.asarray(x, dtype=float),
                                              mode_numbers(c.shape[0])))
-    out = np.einsum("...k,k...->...", basis, c, optimize=True)
+    # coefficients first, so a tensor-grid result comes out C-ordered
+    out = np.einsum("k...,...k->...", c, basis, optimize=True)
     return out if out.ndim else float(out)
 
 

@@ -196,8 +196,7 @@ def matching_identity_check(d: DecomposedProblem, stack: AntiderivativeStack,
 
     For each sampled y and mode k, compares the cosine coefficient of the
     outer correction -F_2(., y) + F_3(1, y) against ftilde_k(y) / (k pi)^2;
-    both sides are integrated on the stack's own grid, with ftilde read as
-    the stack's F_0, so ``stack`` must be built from ``d``.
+    both sides are integrated on the stack's own grid.
 
     Raises:
         ValueError: ``n_modes < 1`` or no y samples, which would check nothing.
@@ -210,9 +209,9 @@ def matching_identity_check(d: DecomposedProblem, stack: AntiderivativeStack,
     k = mode_numbers(n_modes)
     worst = 0.0
     for y in ys:
-        f0, _, f2, f3 = stack.columns(y)
+        _, _, f2, f3 = stack.columns(y)
         lhs = analyze(f3[-1] - f2, n_modes)
-        rhs = analyze(f0, n_modes) / (k * np.pi) ** 2
+        rhs = analyze(d.ftilde(stack.x_grid, float(y)), n_modes) / (k * np.pi) ** 2
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 

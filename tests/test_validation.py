@@ -99,6 +99,13 @@ class TestMatchingIdentity:
         stack = build_antiderivatives(d, quad_points=4096)
         assert matching_identity_check(d, stack, n_modes=8) <= 1e-7
 
+    def test_stack_of_another_problem_deviates(self):
+        # the right-hand side comes from d, not from the stack under test
+        d = decompose(builtin_problem("paper"), quad_points=256)
+        zero = build_antiderivatives(decompose(builtin_problem("zero"), quad_points=256),
+                                     quad_points=256)
+        assert matching_identity_check(d, zero, n_modes=8) > 1e-2
+
     @pytest.mark.parametrize("n_modes,y_samples", [(0, None), (-1, None), (4, [])])
     def test_empty_check_rejected(self, n_modes, y_samples):
         d = decompose(builtin_problem("paper"), quad_points=64)
