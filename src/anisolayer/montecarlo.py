@@ -10,14 +10,19 @@ Dirichlet sides y = 0, 1, and tau is the absorption time.  Paths are advanced
 by Euler-Maruyama; reflection is applied through the exact folding map of the
 line onto [0, 1], and the running force integral uses the left-endpoint rule.
 
-Streams are counter-based (Philox) and split per fixed-size path chunk, so
-the estimate is bit-reproducible for a given seed and config regardless of
-how chunks would be scheduled.
+Paths are split into fixed-size chunks, each drawing from its own SFC64
+stream spawned from the seed.  The chunks run on all usable cores: the
+calling process runs some of them and forked worker processes the rest.  A
+chunk's result depends only on its stream, so the estimate is bit-identical
+for a given seed and config whatever the number of workers.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import multiprocessing
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +55,12 @@ class McConfig:
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Sample mean, its standard error and the mean absorption time."""
+    """Sample mean, its standard error, and exit and step statistics.
+
+    ``n_exit_bottom`` and ``n_exit_top`` count the paths absorbed at y = 0 and
+    y = 1; ``mean_steps`` and ``max_steps`` are the time steps a path took
+    until absorption.
+    """
 
     mean: float
     std_error: float
@@ -58,6 +68,10 @@ class McEstimate:
     mean_absorption_time: float
     seed: int
     dt: float
+    n_exit_bottom: int
+    n_exit_top: int
+    mean_steps: float
+    max_steps: int
 
     def to_json(self) -> str:
         return json.dumps(
@@ -68,14 +82,24 @@ class McEstimate:
                 "mean_tau": self.mean_absorption_time,
                 "seed": self.seed,
                 "dt": self.dt,
+                "n_exit_bottom": self.n_exit_bottom,
+                "n_exit_top": self.n_exit_top,
+                "mean_steps": self.mean_steps,
+                "max_steps": self.max_steps,
             }
         )
 
 
-def reflect_unit_interval(x: np.ndarray) -> np.ndarray:
-    """Fold the real line onto [0, 1] by reflection at both endpoints."""
-    m = np.mod(np.abs(x), 2.0)
-    return np.where(m > 1.0, 2.0 - m, m)
+def reflect_unit_interval(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Fold the real line onto [0, 1] by reflection at both endpoints.
+
+    ``out`` may be ``x`` itself.  For |x| < 2 the fold is min(|x|, 2 - |x|);
+    larger arguments are first reduced mod 2.
+    """
+    a = np.abs(x, out=out)
+    if np.maximum.reduce(a, axis=None, initial=0.0) >= 2.0:
+        a = np.mod(a, 2.0, out=out)
+    return np.minimum(a, 2.0 - a, out=out)
 
 
 def estimate_point(p: ProblemSpec, x0: float, y0: float, cfg: McConfig) -> McEstimate:
@@ -90,6 +114,9 @@ def estimate_point(p: ProblemSpec, x0: float, y0: float, cfg: McConfig) -> McEst
     Raises:
         DegenerateStart: y0 on or outside the absorbing boundaries.
         NonFiniteValue: problem data evaluated to NaN/inf along a path.
+        ChildProcessError: a worker process died before returning its chunks.
+        Any exception the problem's functions raise in a worker process is
+        raised again here.
     """
     if not 0.0 < y0 < 1.0:
         raise DegenerateStart(f"y0 must lie strictly inside (0, 1), got {y0}")
@@ -97,81 +124,189 @@ def estimate_point(p: ProblemSpec, x0: float, y0: float, cfg: McConfig) -> McEst
         raise ValueError(f"x0 must lie in [0, 1], got {x0}")
 
     n_chunks = -(-cfg.n_paths // _CHUNK)
-    streams = np.random.SeedSequence(cfg.seed).spawn(n_chunks)
-    payoffs = np.empty(cfg.n_paths)
-    taus = np.empty(cfg.n_paths)
-    done = 0
-    for chunk_index in range(n_chunks):
-        size = min(_CHUNK, cfg.n_paths - done)
-        rng = np.random.Generator(np.random.Philox(streams[chunk_index]))
-        pay, tau = _run_chunk(p, x0, y0, cfg, size, rng)
-        payoffs[done:done + size] = pay
-        taus[done:done + size] = tau
-        done += size
+    job = (p, float(x0), float(y0), cfg, np.random.SeedSequence(cfg.seed).spawn(n_chunks))
+    chunks = _run_chunks(job, n_chunks)
+    payoffs = np.concatenate([c[0] for c in chunks])
+    steps = np.concatenate([c[1] for c in chunks])
+    n_exit_bottom = sum(c[2] for c in chunks)
 
     if not np.all(np.isfinite(payoffs)):
         raise NonFiniteValue("payoff evaluated to a non-finite value")
     mean = float(np.mean(payoffs))
     std_error = float(np.std(payoffs, ddof=1) / np.sqrt(cfg.n_paths))
+    mean_steps = float(np.mean(steps))
     return McEstimate(
         mean=mean,
         std_error=std_error,
         n_paths=cfg.n_paths,
-        mean_absorption_time=float(np.mean(taus)),
+        mean_absorption_time=mean_steps * cfg.dt,
         seed=cfg.seed,
         dt=cfg.dt,
+        n_exit_bottom=n_exit_bottom,
+        n_exit_top=cfg.n_paths - n_exit_bottom,
+        mean_steps=mean_steps,
+        max_steps=int(np.max(steps)),
     )
 
 
+def _workers(n_chunks: int) -> int:
+    """Processes to run the chunks on: one per usable core, at most one per chunk.
+
+    Falls back to 1 (the calling process alone) where processes cannot be
+    forked, or from a daemonic process, which may not start children.
+    """
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return min(n_chunks, cores)
+
+
+def _run_chunks(job: tuple, n_chunks: int) -> list:
+    """Results of every chunk, in chunk order.
+
+    With w workers, chunk c runs in the calling process when c % w == 0 and in
+    forked worker (c % w) otherwise.  The workers inherit ``job`` through the
+    fork, so the problem's functions are never pickled; only the results come
+    back, through one pipe per worker.
+    """
+    workers = _workers(n_chunks)
+    results: list = [None] * n_chunks
+    procs = []
+    ctx = multiprocessing.get_context("fork") if workers > 1 else None
+    try:
+        for w in range(1, workers):
+            receiver, sender = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_serve_chunks,
+                               args=(job, range(w, n_chunks, workers), sender))
+            proc.start()
+            sender.close()
+            procs.append((proc, receiver))
+        for c in range(0, n_chunks, workers):
+            results[c] = _run_indexed_chunk(job, c)
+        for w, (proc, receiver) in enumerate(procs, start=1):
+            try:
+                got = receiver.recv()
+            except EOFError:
+                proc.join()
+                raise ChildProcessError(f"Monte Carlo worker exited with code {proc.exitcode} "
+                                        "before returning its chunks") from None
+            if isinstance(got, Exception):
+                raise got
+            results[w::workers] = got
+    finally:
+        for proc, receiver in procs:
+            proc.terminate()
+            proc.join()
+            receiver.close()
+    return results
+
+
+def _serve_chunks(job: tuple, indices: range, conn) -> None:
+    """Worker-process body: send the results of the given chunks, or the error."""
+    try:
+        got = [_run_indexed_chunk(job, c) for c in indices]
+    except Exception as exc:  # re-raised by the calling process
+        got = exc
+    conn.send(got)
+    conn.close()
+
+
+def _run_indexed_chunk(job: tuple, index: int) -> tuple[np.ndarray, np.ndarray, int]:
+    p, x0, y0, cfg, streams = job
+    size = min(_CHUNK, cfg.n_paths - index * _CHUNK)
+    rng = np.random.Generator(np.random.SFC64(streams[index]))
+    return _run_chunk(p, x0, y0, cfg, size, rng)
+
+
 def _run_chunk(p: ProblemSpec, x0: float, y0: float, cfg: McConfig,
-               size: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+               size: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, int]:
+    """Simulate ``size`` paths to absorption.
+
+    Returns each path's payoff and step count, in order of absorption, and
+    the number of paths absorbed at y = 0.  The live paths occupy the first
+    ``n`` slots of the state buffers; an absorbed path's slot is refilled
+    from the tail.
+    """
     dt = cfg.dt
-    sqrt_dt = np.sqrt(dt)
+    sqrt_dt = math.sqrt(dt)
     x_scale = sqrt_dt / p.eps
 
-    x = np.full(size, float(x0))
-    y = np.full(size, float(y0))
-    force_acc = np.zeros(size)
+    x = np.full(size, x0)
+    y = np.full(size, y0)
+    y_next = np.empty(size)
+    force_sum = np.zeros(size)  # sum of f along the path; times dt at exit
+    noise = np.empty(2 * size)
     payoffs = np.empty(size)
-    taus = np.empty(size)
+    steps = np.empty(size, dtype=np.int64)
+    n = size
     n_done = 0
+    n_bottom = 0
     step = 0
 
-    while x.size:
+    while n:
         step += 1
-        force_acc += p.f(x, y) * dt
-        noise = rng.standard_normal((2, x.size))
-        x = reflect_unit_interval(x + x_scale * noise[0])
-        y_new = y + sqrt_dt * noise[1]
+        xs, ys, y_new = x[:n], y[:n], y_next[:n]
+        force_sum[:n] += p.f(xs, ys)
+        rng.standard_normal(out=noise[:2 * n])
+        dx, dy = noise[:n], noise[n:2 * n]
+        dx *= x_scale
+        dx += xs
+        reflect_unit_interval(dx, out=xs)
+        dy *= sqrt_dt
+        np.add(ys, dy, out=y_new)
 
-        exited_bottom = y_new <= 0.0
-        exited_top = y_new >= 1.0
+        y, y_next = y_next, y
         if cfg.bridge_correction:
-            inside = ~(exited_bottom | exited_top)
-            if inside.any():
-                # probability that the bridge between the endpoints crossed
-                p_bot = np.exp(-2.0 * np.maximum(y[inside] * y_new[inside], 0.0) / dt)
-                p_top = np.exp(-2.0 * np.maximum((1.0 - y[inside]) * (1.0 - y_new[inside]), 0.0) / dt)
-                draw = rng.uniform(size=int(inside.sum()))
-                hit_bot = draw < p_bot
-                hit_top = (~hit_bot) & (draw < p_bot + p_top)
-                idx = np.flatnonzero(inside)
-                exited_bottom[idx[hit_bot]] = True
-                exited_top[idx[hit_top]] = True
+            bottom, top = _bridge_exits(ys, y_new, dt, rng)
+        elif np.minimum.reduce(y_new) > 0.0 and np.maximum.reduce(y_new) < 1.0:
+            continue
+        else:
+            bottom, top = y_new <= 0.0, y_new >= 1.0
+        exited = np.flatnonzero(bottom | top)
+        k = exited.size
+        if not k:
+            continue
 
-        exited = exited_bottom | exited_top
-        y = y_new
-        if exited.any():
-            xe = x[exited]
-            value = np.where(exited_bottom[exited], p.phi0(xe), p.phi1(xe))
-            pay = value + 0.5 * force_acc[exited]
-            k = int(exited.sum())
-            payoffs[n_done:n_done + k] = pay
-            taus[n_done:n_done + k] = step * dt
-            n_done += k
-            keep = ~exited
-            x = x[keep]
-            y = y[keep]
-            force_acc = force_acc[keep]
+        xe = x[exited]
+        at_bottom = bottom[exited]
+        value = np.where(at_bottom, p.phi0(xe), p.phi1(xe))
+        payoffs[n_done:n_done + k] = value + (0.5 * dt) * force_sum[exited]
+        steps[n_done:n_done + k] = step
+        n_done += k
+        n_bottom += int(np.count_nonzero(at_bottom))
 
-    return payoffs, taus
+        # refill the holes below the new live count from the survivors above it
+        n -= k
+        n_holes = int(np.searchsorted(exited, n))
+        if n_holes:
+            survivor = np.ones(k, dtype=bool)
+            survivor[exited[n_holes:] - n] = False
+            holes = exited[:n_holes]
+            sources = n + np.flatnonzero(survivor)
+            for state in (x, y, force_sum):
+                state[holes] = state[sources]
+
+    return payoffs, steps, n_bottom
+
+
+def _bridge_exits(y: np.ndarray, y_new: np.ndarray, dt: float,
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Exit masks at y = 0 and y = 1, counting bridge crossings between steps."""
+    bottom = y_new <= 0.0
+    top = y_new >= 1.0
+    inside = np.flatnonzero(~(bottom | top))
+    if inside.size:
+        # probability that the bridge between the endpoints crossed
+        y_in, y_new_in = y[inside], y_new[inside]
+        p_bot = np.exp(-2.0 * np.maximum(y_in * y_new_in, 0.0) / dt)
+        p_top = np.exp(-2.0 * np.maximum((1.0 - y_in) * (1.0 - y_new_in), 0.0) / dt)
+        draw = rng.uniform(size=inside.size)
+        hit_bot = draw < p_bot
+        hit_top = (~hit_bot) & (draw < p_bot + p_top)
+        bottom[inside[hit_bot]] = True
+        top[inside[hit_top]] = True
+    return bottom, top

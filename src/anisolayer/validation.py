@@ -267,12 +267,12 @@ def _restrict_x(values: np.ndarray) -> np.ndarray:
     exactly, so no interpolation error enters the Richardson difference.
     """
     half = values.shape[0] // 2
-    coeffs = dct(values, type=2, axis=0, norm="ortho")[:half] / math.sqrt(2.0)
-    return idct(coeffs, type=2, axis=0, norm="ortho")
+    coeffs = dct(values, type=2, axis=0, norm="ortho", workers=-1)[:half] / math.sqrt(2.0)
+    return idct(coeffs, type=2, axis=0, norm="ortho", workers=-1)
 
 
 def _solve_record(field: Field2D, stats: SolveStats) -> dict:
-    """Grid and deterministic stats of one solve (no wall time)."""
+    """Grid and deterministic stats of one solve."""
     grid = field.grid
     return {"grid": {"n_x": grid.n_x, "n_y": grid.n_y}, "iterations": stats.iterations,
             "relative_residual": stats.relative_residual,

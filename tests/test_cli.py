@@ -1,5 +1,6 @@
 import errno
 import json
+import os
 
 import numpy as np
 import pytest
@@ -211,6 +212,18 @@ def test_mc_file_reruns_byte_identical(tmp_path):
     assert run(args + ["--out", str(a)]) == 0
     assert run(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_mc_json_same_for_any_worker_count(tmp_path, monkeypatch):
+    # 40 001 paths make three chunks, run by two processes or by one
+    args = ["mc", "--problem", "paper", "--eps2", "0.05", "--x", "0.5",
+            "--y", "0.1", "--paths", "40001", "--seed", "3", "--dt", "1e-3"]
+    outs = []
+    for cores in (2, 2, 1):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cores: set(range(n)))
+        outs.append(tmp_path / f"{len(outs)}.json")
+        assert run(args + ["--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
 
 
 def test_mc_degenerate_start_is_usage_error(capsys):

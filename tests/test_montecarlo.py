@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from anisolayer import (
     DegenerateStart,
     Grid2D,
     McConfig,
+    NonFiniteValue,
     ProblemSpec,
     builtin_problem,
     decompose,
@@ -13,6 +17,7 @@ from anisolayer import (
     reflect_unit_interval,
     solve_fd,
 )
+from anisolayer import montecarlo
 
 
 def _flat(value):
@@ -42,6 +47,105 @@ def test_reflection_folds_line_onto_unit_interval():
     assert reflect_unit_interval(np.array([1.3]))[0] == pytest.approx(0.7)
     assert reflect_unit_interval(np.array([-0.2]))[0] == pytest.approx(0.2)
     assert reflect_unit_interval(np.array([2.4]))[0] == pytest.approx(0.4)
+
+
+def test_fast_fold_agrees_with_general_fold():
+    # inputs below 2 in magnitude take the fast fold; one larger entry sends
+    # the whole array through the mod-2 reduction
+    rng = np.random.default_rng(1)
+    small = rng.uniform(-2.0, 2.0, size=10_000)
+    small[:4] = (-1.0, 1.0, 0.0, np.nextafter(2.0, 0.0))
+    general = reflect_unit_interval(np.append(small, 7.0))[:-1]
+    assert np.array_equal(reflect_unit_interval(small), general)
+    for x in (small, rng.uniform(-7.0, 7.0, size=10_000)):
+        m = np.mod(np.abs(x), 2.0)
+        expected = np.where(m > 1.0, 2.0 - m, m)
+        assert np.array_equal(reflect_unit_interval(x), expected)
+        out = np.empty_like(x)
+        assert reflect_unit_interval(x, out=out) is out
+        assert np.array_equal(out, expected)
+        in_place = x.copy()
+        reflect_unit_interval(in_place, out=in_place)
+        assert np.array_equal(in_place, expected)
+
+
+def _usable_cores(monkeypatch, n):
+    """Make the estimator see n usable cores, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.mark.parametrize("bridge", [False, True])
+def test_parallel_chunks_match_serial_rebuild(monkeypatch, bridge):
+    # three workers on four chunks: the caller runs chunks 0 and 3, each of
+    # the two forked workers one chunk
+    _usable_cores(monkeypatch, 3)
+    p = builtin_problem("paper", eps=0.3)
+    n_paths = 3 * montecarlo._CHUNK + 7
+    cfg = McConfig(dt=1e-3, n_paths=n_paths, seed=4, bridge_correction=bridge)
+    est = estimate_point(p, 0.25, 0.1, cfg)
+
+    payoffs, steps, n_bottom = [], [], 0
+    for index, stream in enumerate(np.random.SeedSequence(4).spawn(4)):
+        size = min(montecarlo._CHUNK, n_paths - index * montecarlo._CHUNK)
+        rng = np.random.Generator(np.random.SFC64(stream))
+        pay, st, bottom = montecarlo._run_chunk(p, 0.25, 0.1, cfg, size, rng)
+        payoffs.append(pay)
+        steps.append(st)
+        n_bottom += bottom
+    payoffs, steps = np.concatenate(payoffs), np.concatenate(steps)
+    assert est.mean == float(np.mean(payoffs))
+    assert est.std_error == float(np.std(payoffs, ddof=1) / np.sqrt(n_paths))
+    assert est.mean_steps == float(np.mean(steps))
+    assert est.max_steps == int(np.max(steps))
+    assert (est.n_exit_bottom, est.n_exit_top) == (n_bottom, n_paths - n_bottom)
+
+    _usable_cores(monkeypatch, 1)
+    assert estimate_point(p, 0.25, 0.1, cfg) == est
+
+
+def _three_chunk_estimate():
+    p = builtin_problem("paper", eps=0.3)
+    return estimate_point(p, 0.25, 0.1,
+                          McConfig(dt=1e-3, n_paths=2 * montecarlo._CHUNK + 1, seed=6))
+
+
+def test_daemonic_caller_runs_chunks_itself(monkeypatch):
+    # a daemonic process may not start children, so it runs every chunk
+    _usable_cores(monkeypatch, 2)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        in_daemon = pool.apply_async(_three_chunk_estimate).get(timeout=120)
+    assert in_daemon == _three_chunk_estimate()
+
+
+def _in_worker(failure):
+    """A force that is 0 in the calling process and ``failure(x)`` in a worker."""
+    caller = os.getpid()
+
+    def f(x, y):
+        return failure(x) if os.getpid() != caller else 0.0 * x * y
+    return f
+
+
+def _raise(x):
+    raise ZeroDivisionError("planted")
+
+
+def _die(x):
+    os._exit(3)
+
+
+@pytest.mark.parametrize("failure, error", [(_raise, ZeroDivisionError),
+                                            (lambda x: np.nan * x, NonFiniteValue),
+                                            (_die, ChildProcessError)],
+                         ids=["raises", "nan", "exits"])
+def test_worker_failure_reaches_caller(monkeypatch, failure, error):
+    # two chunks on two workers: only the forked worker runs chunk 1
+    _usable_cores(monkeypatch, 2)
+    p = ProblemSpec(f=_in_worker(failure), phi0=_flat(0.0), phi1=_flat(1.0), eps=0.2)
+    cfg = McConfig(dt=1e-3, n_paths=2 * montecarlo._CHUNK, seed=5)
+    with pytest.raises(error):
+        estimate_point(p, 0.5, 0.5, cfg)
+    assert multiprocessing.active_children() == []
 
 
 def test_seeded_estimates_are_bit_identical():
@@ -79,10 +183,14 @@ def test_json_round_trip_fields():
     p = builtin_problem("zero", eps=0.2)
     est = estimate_point(p, 0.5, 0.5, McConfig(dt=1e-3, n_paths=100, seed=9))
     payload = json.loads(est.to_json())
-    assert set(payload) == {"mean", "std_error", "n_paths", "mean_tau", "seed", "dt"}
+    assert set(payload) == {"mean", "std_error", "n_paths", "mean_tau", "seed", "dt",
+                            "n_exit_bottom", "n_exit_top", "mean_steps", "max_steps"}
     assert payload["n_paths"] == 100
     assert payload["seed"] == 9
     assert payload["dt"] == 1e-3
+    assert payload["n_exit_bottom"] + payload["n_exit_top"] == 100
+    assert 1 <= payload["mean_steps"] <= payload["max_steps"]
+    assert payload["mean_tau"] == pytest.approx(payload["mean_steps"] * 1e-3)
 
 
 def test_dt_refinement_stays_within_noise():
