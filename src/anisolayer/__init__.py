@@ -51,7 +51,6 @@ from .spectral import (
     analyze,
     build_antiderivatives,
     cosine_coeffs,
-    decaying_exp,
     eval_series,
     synthesize,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "check_derivatives",
     "composite",
     "cosine_coeffs",
-    "decaying_exp",
     "decompose",
     "estimate_point",
     "eval_series",

@@ -39,13 +39,15 @@ from .spectral import (
     CosineSeries,
     analyze,
     cosine_coeffs,
-    decaying_exp,
     mode_numbers,
     synthesize,
 )
 
 EPS_WARN_THRESHOLD = 0.5
 EPS_MAX = 1.0
+# y-columns per force sample array; bounds the memory of an evaluation at
+# many scattered points to (quad_points + 1) x _Y_BLOCK samples
+_Y_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -154,8 +156,9 @@ class LayerTerm:
         y_arr = np.asarray(y, dtype=float)
         s = y_arr if self.side == "bottom" else 1.0 - y_arr
         c = self.series.coeffs.reshape((-1,) + (1,) * s.ndim)
-        return c * decaying_exp(-np.pi * np.multiply.outer(mode_numbers(c.shape[0]), s)
-                                / self.eps)
+        # exp underflows to exact zeros, silently under numpy's default
+        # under='ignore', past a depth of about 745 eps / (k pi)
+        return c * np.exp(-np.pi * np.multiply.outer(mode_numbers(c.shape[0]), s) / self.eps)
 
     def __call__(self, x, y):
         """The layer at (x, y); x and y broadcast elementwise."""
@@ -165,6 +168,57 @@ class LayerTerm:
 def layer_term(series: CosineSeries, side: str, eps: float) -> LayerTerm:
     """Wrap a data series as a decaying boundary-layer evaluator."""
     return LayerTerm(side=side, series=series, eps=eps)
+
+
+class _ExpansionBase:
+    """The eps-free part of every u[2n] of one problem, K and quadrature.
+
+    Holds the decomposition, the mean profile, the boundary-data series and
+    the force sources of the orders up to ``order``, with the raw cosine
+    coefficients of each source at y = 0 and 1.  An ``ExpansionResult`` is
+    assembled from it for any eps and any order up to ``order`` by the
+    prefactors eps^{2m} / (k pi)^{2m} alone.
+    """
+
+    def __init__(self, p: ProblemSpec, order: int, n_modes: int, quad_points: int):
+        needed = 2 * order - 2
+        if needed > 0 and len(p.f_y_derivs) < needed:
+            raise MissingDerivatives(
+                f"order {order} needs analytic y-derivatives of f up to order {needed}; "
+                f"got {len(p.f_y_derivs)}"
+            )
+        self.n_modes = int(n_modes)
+        self.quad_points = require_even(quad_points)
+        d = decompose(p, self.quad_points)
+        self.decomposed = d
+        self.mean = mean_solution(d, self.quad_points)
+        self.bottom_series = cosine_coeffs(d.phitilde0, self.n_modes, self.quad_points)
+        self.top_series = cosine_coeffs(d.phitilde1, self.n_modes, self.quad_points)
+        # the m-th correction's source: the (2m-2)-nd y-derivative of f
+        self.sources = [p.f if m == 1 else p.f_y_derivs[2 * m - 3]
+                        for m in range(1, int(order) + 1)]
+        self.end_coeffs = self.force_coeffs(np.array([0.0, 1.0]))
+
+    def force_coeffs(self, y, order: int | None = None) -> list:
+        """Raw cosine coefficients, shape (K, y.size), of the force fluctuation
+        sources of orders 1..``order`` (all by default) at each y.
+
+        The sources are sampled on at most ``_Y_BLOCK`` y-columns at a time.
+        """
+        y = np.asarray(y, dtype=float).ravel()
+        sources = self.sources[:order]
+        xq = unit_nodes(self.quad_points)
+        w = simpson_weights(self.quad_points)
+        out = [np.empty((self.n_modes, y.size)) for _ in sources]
+        # near-equal blocks: none is a single column unless y is
+        n_blocks = -(-y.size // _Y_BLOCK)
+        edges = [y.size * i // n_blocks for i in range(n_blocks + 1)]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            for coeffs, source in zip(out, sources):
+                vals = check_finite(source(xq[:, None], y[None, lo:hi]), "force derivative")
+                vals = vals - (w @ vals)[None, :]  # keep zero x-mean exactly
+                coeffs[:, lo:hi] = analyze(vals, self.n_modes)
+        return out
 
 
 class ExpansionResult:
@@ -178,49 +232,46 @@ class ExpansionResult:
     synthesis of the summed coefficients.
     """
 
-    def __init__(self, p: ProblemSpec, order: int, n_modes: int, quad_points: int):
+    def __init__(self, base: _ExpansionBase, eps: float, order: int):
         self.order = int(order)
-        self.eps = float(p.eps)
-        self.n_modes = int(n_modes)
-        self.quad_points = require_even(quad_points)
+        self.eps = float(eps)
+        self.n_modes = base.n_modes
+        self.quad_points = base.quad_points
+        self.decomposed = base.decomposed
+        self.mean = base.mean
+        self.bottom_series = base.bottom_series
+        self.top_series = base.top_series
+        self._base = base
 
-        d = decompose(p, self.quad_points)
-        self.decomposed = d
-        self.mean = mean_solution(d, self.quad_points)
-        self.bottom_series = cosine_coeffs(d.phitilde0, self.n_modes, self.quad_points)
-        self.top_series = cosine_coeffs(d.phitilde1, self.n_modes, self.quad_points)
-
-        # force-fluctuation derivative sources, one per even correction term,
-        # and their eps^{2m} / (k pi)^{2m} prefactors
+        # eps^{2m} / (k pi)^{2m} prefactors of the even correction terms
         k = mode_numbers(self.n_modes)
-        self._sources = []
-        self._prefactors = []
-        for m in range(1, self.order + 1):
-            j = 2 * m - 2
-            self._sources.append(p.f if j == 0 else p.f_y_derivs[j - 1])
-            self._prefactors.append((self.eps ** (2 * m)) / (np.pi * k) ** (2 * m))
+        self._prefactors = [(self.eps ** (2 * m)) / (np.pi * k) ** (2 * m)
+                            for m in range(1, self.order + 1)]
 
         # each layer cancels the outer corrections on its own Dirichlet side
-        ends = self._outer_coeffs(np.array([0.0, 1.0]))
+        ends = self._outer_from(base.end_coeffs, 2)
         bottom_amp = self.bottom_series.coeffs - ends[:, 0]
         top_amp = self.top_series.coeffs - ends[:, 1]
         self.bottom_layer = LayerTerm("bottom", CosineSeries(bottom_amp), self.eps)
         self.top_layer = LayerTerm("top", CosineSeries(top_amp), self.eps)
 
-    def _outer_coeffs(self, y) -> np.ndarray:
-        """Cosine coefficients of the even outer corrections, shape (K,) + y.shape.
+    def _outer_from(self, raw: list, n_points: int) -> np.ndarray:
+        """Cosine coefficients, shape (K, n_points), of the even outer
+        corrections from the raw force coefficients ``raw`` at n_points y
+        (``_ExpansionBase.force_coeffs``).
 
         The m-th correction is eps^{2m} / (k pi)^{2m} times the coefficients
-        of the (2m-2)-nd y-derivative of ftilde at each y.
+        of the (2m-2)-nd y-derivative of ftilde.
         """
+        c = np.zeros((self.n_modes, n_points))
+        for prefactor, coeffs in zip(self._prefactors, raw):
+            c += prefactor[:, None] * coeffs
+        return c
+
+    def _outer_coeffs(self, y) -> np.ndarray:
+        """Cosine coefficients of the even outer corrections, shape (K,) + y.shape."""
         y = np.asarray(y, dtype=float)
-        xq = unit_nodes(self.quad_points)
-        w = simpson_weights(self.quad_points)
-        c = np.zeros((self.n_modes, y.size))
-        for source, prefactor in zip(self._sources, self._prefactors):
-            vals = check_finite(source(xq[:, None], y.reshape(1, -1)), "force derivative")
-            vals = vals - (w @ vals)[None, :]  # keep zero x-mean exactly
-            c += prefactor[:, None] * analyze(vals, self.n_modes)
+        c = self._outer_from(self._base.force_coeffs(y, self.order), y.size)
         return c.reshape((self.n_modes,) + y.shape)
 
     def layer_amplitudes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -245,9 +296,15 @@ class ExpansionResult:
 
     def evaluate_grid(self, xs, ys) -> np.ndarray:
         """Values on the tensor grid, shape (len(xs), len(ys))."""
+        return self._grid_values(xs, ys, self._base.force_coeffs(ys, self.order))
+
+    def _grid_values(self, xs, ys, raw: list) -> np.ndarray:
+        """``evaluate_grid`` from the raw force coefficients ``raw`` at ys
+        (``_ExpansionBase.force_coeffs``), which all eps may share."""
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
-        coeffs = self._outer_coeffs(ys) + self.bottom_layer.coeffs(ys) + self.top_layer.coeffs(ys)
+        coeffs = (self._outer_from(raw, ys.size) + self.bottom_layer.coeffs(ys)
+                  + self.top_layer.coeffs(ys))
         return self.mean(ys)[None, :] + synthesize(coeffs, xs[:, None])
 
 
@@ -269,18 +326,17 @@ def composite(p: ProblemSpec, order: int = 0, n_modes: int = DEFAULT_MODES,
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    if p.eps > EPS_MAX:
-        raise ValueError(f"eps = {p.eps} > {EPS_MAX}: expansion not applicable")
-    if p.eps > EPS_WARN_THRESHOLD:
+    _check_eps(p.eps)
+    return ExpansionResult(_ExpansionBase(p, order, n_modes, quad_points), p.eps, order)
+
+
+def _check_eps(eps: float) -> None:
+    """Refuse eps > EPS_MAX and warn above EPS_WARN_THRESHOLD, for composite's caller."""
+    if eps > EPS_MAX:
+        raise ValueError(f"eps = {eps} > {EPS_MAX}: expansion not applicable")
+    if eps > EPS_WARN_THRESHOLD:
         warnings.warn(
-            f"eps = {p.eps} > {EPS_WARN_THRESHOLD}: boundary layers overlap and "
+            f"eps = {eps} > {EPS_WARN_THRESHOLD}: boundary layers overlap and "
             "the expansion loses accuracy",
-            stacklevel=2,
+            stacklevel=3,
         )
-    needed = 2 * order - 2
-    if needed > 0 and len(p.f_y_derivs) < needed:
-        raise MissingDerivatives(
-            f"order {order} needs analytic y-derivatives of f up to order {needed}; "
-            f"got {len(p.f_y_derivs)}"
-        )
-    return ExpansionResult(p, order=order, n_modes=n_modes, quad_points=quad_points)

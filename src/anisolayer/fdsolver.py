@@ -25,6 +25,13 @@ The result is certified in the eps^2-rescaled form -u_xx - eps^2 u_yy =
 eps^2 f, A u = b with A = A_x + eps^2 A_y, whose scale does not blow up as
 eps -> 0: one application of A gives the true residual, which must meet the
 tolerance up to the floor that storing u in doubles causes by itself.
+
+The work splits at eps.  Preparing one problem on one grid samples phi0,
+phi1 and f once and folds the Dirichlet rows into the unscaled right-hand
+side; none of that depends on eps.  A solve of the prepared grid for one
+eps^2 runs the transforms, the division, the residual certificate and any
+refinement.  ``solve_fd`` prepares and solves once; a convergence sweep
+prepares each grid once and solves it for every eps^2.
 """
 
 from __future__ import annotations
@@ -45,6 +52,8 @@ DEFAULT_TOL = 1e-11
 DEFAULT_MAX_ITER = 200
 CSV_FLOAT_FORMAT = ".17g"
 _EPS_MACH = float(np.finfo(float).eps)
+# entries per block of the residual sweep: 512 KB of doubles
+_BLOCK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -150,95 +159,133 @@ def solve_fd(p: ProblemSpec, grid: Grid2D, tol: float = DEFAULT_TOL,
         ValueError: ``tol`` or ``max_iter`` out of range, or eps^2
             underflows to 0.
     """
-    if tol < 1e-14:
-        raise ValueError(f"tol must be >= 1e-14, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    eps2 = p.eps**2
-    if eps2 == 0.0:
-        raise ValueError(f"eps = {p.eps!r} squares to 0 in double precision")
-    xs = grid.x_nodes()
-    ys = grid.y_nodes()
-    inv_dx2 = 1.0 / grid.dx**2
-    inv_dy2 = 1.0 / grid.dy**2
-    beta = eps2 * inv_dy2
-
-    bottom = check_finite(p.phi0(xs), "phi0")
-    top = check_finite(p.phi1(xs), "phi1")
-    rhs = np.array(check_finite(p.f(xs[:, None], ys[None, 1:-1]), "f"))
-    rhs[:, 0] += inv_dy2 * bottom
-    rhs[:, -1] += inv_dy2 * top
-    if not rhs.any():
-        stats = SolveStats(iterations=0, relative_residual=0.0, residual_floor=0.0)
-        return _assemble_field(grid, np.zeros_like(rhs), bottom, top), stats
-
-    # eigenvalues of A_x / eps^2 under the DCT-II and of A_y under the DST-I;
-    # for tiny eps, mu_k / eps^2 overflows to inf and sends mode k to its
-    # eps -> 0 limit, 0
-    with np.errstate(over="ignore"):
-        mu = 4.0 * inv_dx2 * np.sin(np.arange(grid.n_x) * (np.pi / (2 * grid.n_x))) ** 2 / eps2
-    lam = 4.0 * inv_dy2 * np.sin(np.arange(1, grid.n_y) * (np.pi / (2 * grid.n_y))) ** 2
-
-    def solve(b: np.ndarray) -> np.ndarray:
-        """(A_x / eps^2 + A_y)^{-1} b, computed in b's memory."""
-        b = dct(b, type=2, axis=0, overwrite_x=True, workers=-1)
-        b = dst(b, type=1, axis=1, overwrite_x=True, workers=-1)
-        b /= mu[:, None] + lam
-        b = idst(b, type=1, axis=1, overwrite_x=True, workers=-1)
-        return idct(b, type=2, axis=0, overwrite_x=True, workers=-1)
-
-    u = solve(rhs.copy())
-    rhs *= eps2
-    rhs_norm = _norm(rhs)
-    for iterations in range(1, max_iter + 1):
-        r = _residual(u, rhs, inv_dx2, beta)
-        residual = _norm(r)
-        floor = 16.0 * _EPS_MACH * (inv_dx2 + beta) * _norm(u)
-        accepted = math.isfinite(residual) and residual <= tol * rhs_norm + floor
-        if accepted or not math.isfinite(residual) or iterations == max_iter:
-            break
-        r /= eps2
-        u += solve(r)
-    rel, rel_floor = residual / rhs_norm, floor / rhs_norm
-    if not accepted:
-        raise NoConvergence(
-            f"five-point solve residual {rel:.3e} exceeds tol {tol:.1e} + floor "
-            f"{rel_floor:.3e} after {iterations} transform solve(s)"
-        )
-    stats = SolveStats(iterations=iterations, relative_residual=rel, residual_floor=rel_floor)
-    return _assemble_field(grid, u, bottom, top), stats
+    return _PreparedGrid(p, grid).solve(p.eps**2, tol=tol, max_iter=max_iter)
 
 
-def _residual(u: np.ndarray, b: np.ndarray, inv_dx2: float, beta: float) -> np.ndarray:
-    """b - A u for the rescaled five-point operator on the interior u.
+class _PreparedGrid:
+    """The eps-free part of the five-point solve of one problem on one grid.
+
+    Samples phi0, phi1 and f once and folds the Dirichlet rows into the
+    unscaled right-hand side ``f + (boundary rows) / dy^2``; ``solve`` then
+    runs the eps-dependent part for any eps^2.  ``sup_f`` is max|f| over all
+    of the grid's nodes, Dirichlet rows included, as the maximum principle
+    needs it.
+    """
+
+    def __init__(self, p: ProblemSpec, grid: Grid2D):
+        self.grid = grid
+        xs = grid.x_nodes()
+        ys = grid.y_nodes()
+        self._inv_dx2 = 1.0 / grid.dx**2
+        self._inv_dy2 = 1.0 / grid.dy**2
+        self.bottom = check_finite(p.phi0(xs), "phi0")
+        self.top = check_finite(p.phi1(xs), "phi1")
+        rhs = np.array(check_finite(p.f(xs[:, None], ys[None, 1:-1]), "f"))
+        rows = np.asarray(p.f(xs[:, None], ys[None, [0, -1]]), dtype=float)
+        # max|f| without an |f| temporary; np.max keeps a NaN on the rows
+        self.sup_f = float(np.max([rhs.max(), -rhs.min(), rows.max(), -rows.min()]))
+        rhs[:, 0] += self._inv_dy2 * self.bottom
+        rhs[:, -1] += self._inv_dy2 * self.top
+        self._rhs = rhs
+        self._zero = not rhs.any()
+        # eigenvalues of A_x (divided by eps^2 in solve) under the DCT-II and
+        # of A_y under the DST-I
+        self._mu = 4.0 * self._inv_dx2 * np.sin(
+            np.arange(grid.n_x) * (np.pi / (2 * grid.n_x))) ** 2
+        self._lam = 4.0 * self._inv_dy2 * np.sin(
+            np.arange(1, grid.n_y) * (np.pi / (2 * grid.n_y))) ** 2
+
+    def solve(self, eps2: float, tol: float, max_iter: int) -> tuple[Field2D, SolveStats]:
+        """The five-point solution for anisotropy eps^2 (see ``solve_fd``)."""
+        if tol < 1e-14:
+            raise ValueError(f"tol must be >= 1e-14, got {tol}")
+        if max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+        if eps2 == 0.0:
+            raise ValueError(f"eps^2 = {eps2!r}: eps squares to 0 in double precision")
+        if self._zero:
+            stats = SolveStats(iterations=0, relative_residual=0.0, residual_floor=0.0)
+            return self._field(np.zeros_like(self._rhs)), stats
+        inv_dx2 = self._inv_dx2
+        beta = eps2 * self._inv_dy2
+        # for tiny eps, mu_k / eps^2 overflows to inf and sends mode k to its
+        # eps -> 0 limit, 0
+        with np.errstate(over="ignore"):
+            mu = self._mu / eps2
+        lam = self._lam
+
+        def invert(b: np.ndarray) -> np.ndarray:
+            """(A_x / eps^2 + A_y)^{-1} b, computed in b's memory."""
+            b = dct(b, type=2, axis=0, overwrite_x=True, workers=-1)
+            b = dst(b, type=1, axis=1, overwrite_x=True, workers=-1)
+            b /= mu[:, None] + lam
+            b = idst(b, type=1, axis=1, overwrite_x=True, workers=-1)
+            return idct(b, type=2, axis=0, overwrite_x=True, workers=-1)
+
+        u = invert(self._rhs.copy())
+        r = np.multiply(self._rhs, eps2)  # b of the rescaled form A u = b
+        rhs_norm = _norm(r)
+        for iterations in range(1, max_iter + 1):
+            _subtract_operator(r, u, inv_dx2, beta)
+            residual = _norm(r)
+            floor = 16.0 * _EPS_MACH * (inv_dx2 + beta) * _norm(u)
+            accepted = math.isfinite(residual) and residual <= tol * rhs_norm + floor
+            if accepted or not math.isfinite(residual) or iterations == max_iter:
+                break
+            r /= eps2
+            u += invert(r)
+            r = np.multiply(self._rhs, eps2)
+        del r
+        rel, rel_floor = residual / rhs_norm, floor / rhs_norm
+        if not accepted:
+            raise NoConvergence(
+                f"five-point solve residual {rel:.3e} exceeds tol {tol:.1e} + floor "
+                f"{rel_floor:.3e} after {iterations} transform solve(s)"
+            )
+        stats = SolveStats(iterations=iterations, relative_residual=rel, residual_floor=rel_floor)
+        return self._field(u), stats
+
+    def _field(self, interior: np.ndarray) -> Field2D:
+        full = np.empty((self.grid.n_x, self.grid.n_y + 1))
+        full[:, 0] = self.bottom
+        full[:, 1:-1] = interior
+        full[:, -1] = self.top
+        return Field2D(grid=self.grid, values=full)
+
+
+def _subtract_operator(b: np.ndarray, u: np.ndarray, inv_dx2: float, beta: float) -> None:
+    """Overwrite b with b - A u, A the rescaled five-point operator on the interior.
 
     The x-stencil reflects at the sides (ghosts u_{-1} = u_0 and
-    u_N = u_{N-1}); the Dirichlet rows are already eliminated into b.
+    u_N = u_{N-1}); the Dirichlet rows are already eliminated into b.  Runs
+    over blocks of x-rows so that its temporaries stay small; every entry
+    receives its terms in the same order whatever the block size.
     """
-    r = np.multiply(u, -2.0 * (inv_dx2 + beta))
-    r += b
-    r[1:] += inv_dx2 * u[:-1]
-    r[:-1] += inv_dx2 * u[1:]
-    r[0] += inv_dx2 * u[0]
-    r[-1] += inv_dx2 * u[-1]
-    r[:, 1:] += beta * u[:, :-1]
-    r[:, :-1] += beta * u[:, 1:]
-    return r
+    n = u.shape[0]
+    step = max(1, _BLOCK_ENTRIES // u.shape[1])
+    centre = -2.0 * (inv_dx2 + beta)
+    for i0 in range(0, n, step):
+        i1 = min(i0 + step, n)
+        r, v = b[i0:i1], u[i0:i1]
+        r += v * centre
+        r[1:] += inv_dx2 * v[:-1]
+        if i0 > 0:
+            r[0] += inv_dx2 * u[i0 - 1]
+        r[:-1] += inv_dx2 * v[1:]
+        if i1 < n:
+            r[-1] += inv_dx2 * u[i1]
+        if i0 == 0:
+            r[0] += inv_dx2 * v[0]
+        if i1 == n:
+            r[-1] += inv_dx2 * v[-1]
+        r[:, 1:] += beta * v[:, :-1]
+        r[:, :-1] += beta * v[:, 1:]
 
 
 def _norm(a: np.ndarray) -> float:
     """2-norm from BLAS nrm2, which rescales as it sums: the squares of a
     residual near the smallest normal float would underflow in a plain dot."""
     return float(blas.dnrm2(a.ravel()))
-
-
-def _assemble_field(grid: Grid2D, interior: np.ndarray,
-                    bottom: np.ndarray, top: np.ndarray) -> Field2D:
-    full = np.empty((grid.n_x, grid.n_y + 1))
-    full[:, 0] = bottom
-    full[:, 1:-1] = interior
-    full[:, -1] = top
-    return Field2D(grid=grid, values=full)
 
 
 def linf_distance(field: Field2D, other: Union[Field2D, Callable]) -> float:

@@ -29,18 +29,6 @@ DEFAULT_MODES = 64
 ZERO_MEAN_TOL = 1e-8
 INTEGRAL_CONDITION_TOL = 1e-7
 
-# exp(t) underflows to subnormal below ~-745; clamp to an exact zero so the
-# layer factors stay clean on platforms that trap underflow
-_EXP_FLOOR = -745.0
-
-
-def decaying_exp(t):
-    """exp(t) for t <= 0, with hard zero once exp would underflow."""
-    t = np.asarray(t, dtype=float)
-    out = np.exp(np.maximum(t, _EXP_FLOOR))
-    out = np.where(t < _EXP_FLOOR, 0.0, out)
-    return out if out.ndim else float(out)
-
 
 @dataclass(frozen=True)
 class CosineSeries:

@@ -40,6 +40,15 @@ divided by 15 (for r = 2, the distance between the two solves divided by 3,
 the finer solve's own error, an upper estimate), and an x-part, a second-order
 Richardson estimate from a solve with half the x-cells at the coarsest
 y-level.
+
+Only the divisions by eps depend on eps, so a sweep does the rest once.  One
+expansion base (the decomposition, the mean profile, the boundary-data
+series and the raw force coefficients at y = 0, 1 and at the output rows)
+serves every composite, each assembled from it by its eps prefactors.  Each
+grid the references need, with its samples of f, phi0 and phi1, is prepared
+once and solved for every eps^2: for r = 1 the output grid and its half
+grid, for r > 1 one refinement level after the other, keeping only output
+rows.  The maximum-principle bounds come from the same samples.
 """
 
 from __future__ import annotations
@@ -52,9 +61,10 @@ import numpy as np
 from scipy.fft import dct, idct
 
 from .errors import InsufficientPoints, NonPositiveNorm
-from .expansion import composite
+# composite stays importable from here: perfbench's tracer wraps it by this name
+from .expansion import ExpansionResult, _check_eps, _ExpansionBase, composite  # noqa: F401
 from .fdsolver import (CSV_FLOAT_FORMAT, DEFAULT_MAX_ITER, DEFAULT_TOL, Field2D, Grid2D,
-                       SolveStats, solve_fd)
+                       SolveStats, _PreparedGrid, solve_fd)
 from .problem import DEFAULT_QUAD_POINTS, DecomposedProblem, ProblemSpec
 from .spectral import DEFAULT_MODES, AntiderivativeStack, analyze, mode_numbers
 
@@ -176,17 +186,23 @@ def max_principle_check(u: Field2D, p: ProblemSpec) -> MaxPrincipleResult:
     Phi is the largest boundary-data magnitude and G = eps^2 sup|f|, both
     taken over the field's nodes.
     """
-    bound = _max_principle_bound(p, u.grid)
-    return MaxPrincipleResult(bound=bound, max_abs=float(np.max(np.abs(u.values))))
+    prepared = _PreparedGrid(p, u.grid)
+    return _max_principle(u, _phi_max(prepared), prepared.sup_f, p.eps**2)
 
 
-def _max_principle_bound(p: ProblemSpec, grid: Grid2D) -> float:
-    """Phi + G/2 over the grid's nodes (see max_principle_check)."""
-    xs = grid.x_nodes()
-    ys = grid.y_nodes()
-    phi_max = float(max(np.max(np.abs(p.phi0(xs))), np.max(np.abs(p.phi1(xs)))))
-    g_max = float(p.eps**2 * np.max(np.abs(p.f(xs[:, None], ys[None, :]))))
-    return phi_max + 0.5 * g_max
+def _phi_max(prepared: _PreparedGrid) -> float:
+    """Phi, the largest boundary-data magnitude on the grid's x-nodes."""
+    return float(max(np.max(np.abs(prepared.bottom)), np.max(np.abs(prepared.top))))
+
+
+def _bound(phi_max: float, sup_f: float, eps2: float) -> float:
+    """Phi + G/2 with G = eps^2 sup|f| (see max_principle_check)."""
+    return phi_max + 0.5 * float(eps2 * sup_f)
+
+
+def _max_principle(u: Field2D, phi_max: float, sup_f: float, eps2: float) -> MaxPrincipleResult:
+    return MaxPrincipleResult(bound=_bound(phi_max, sup_f, eps2),
+                              max_abs=float(np.max(np.abs(u.values))))
 
 
 def matching_identity_check(d: DecomposedProblem, stack: AntiderivativeStack,
@@ -226,34 +242,41 @@ def fd_self_convergence_estimate(p: ProblemSpec, fine: Field2D,
     cosine modes are resampled, see ``_restrict_x``) and returns one third of
     the sup-norm difference, the second-order Richardson constant.
     """
-    grid = fine.grid
+    coarse, _ = solve_fd(p, _half_grid(fine.grid), tol=tol, max_iter=max_iter)
+    return _self_convergence(fine.values, coarse.values)
+
+
+def _half_grid(grid: Grid2D) -> Grid2D:
     if grid.n_x % 2 or grid.n_y % 2:
         raise ValueError("self-convergence estimate needs even cell counts")
-    coarse_grid = Grid2D(n_x=grid.n_x // 2, n_y=grid.n_y // 2)
-    coarse, _ = solve_fd(p, coarse_grid, tol=tol, max_iter=max_iter)
-    restricted = _restrict_x(fine.values[:, 0::2])
-    return float(np.max(np.abs(restricted - coarse.values)) / 3.0)
+    return Grid2D(n_x=grid.n_x // 2, n_y=grid.n_y // 2)
 
 
-def _layer_refinement(problems: Sequence[ProblemSpec], approxes: Sequence[list],
-                      grid: Grid2D, tol: float) -> int:
+def _self_convergence(fine: np.ndarray, coarse: np.ndarray) -> float:
+    """fd_self_convergence_estimate from the fine and half-grid values."""
+    return float(np.max(np.abs(_restrict_x(fine[:, 0::2]) - coarse)) / 3.0)
+
+
+def _layer_refinement(approxes: Sequence[list], eps_values: Sequence[float],
+                      bounds: Sequence[float], grid: Grid2D, tol: float) -> int:
     """Smallest power of two r with r >= k pi dy / eps_min.
 
-    ``approxes[i]`` holds the composites of ``problems[i]``.  k is the
-    fastest mode whose bottom or top layer amplitude, in any of them, exceeds
-    ``tol`` times that problem's maximum-principle bound; a smaller amplitude
-    lies below the reference solve's own accuracy.  A sweep without such a
-    mode has no layer to resolve and gets r = 1.
+    ``approxes[i]`` holds the composites at ``eps_values[i]``, whose
+    maximum-principle bound on ``grid`` is ``bounds[i]``.  k is the fastest
+    mode whose bottom or top layer amplitude, in any of them, exceeds ``tol``
+    times that bound; a smaller amplitude lies below the reference solve's
+    own accuracy.  A sweep without such a mode has no layer to resolve and
+    gets r = 1.
     """
     fastest = 0
-    for p_eps, row in zip(problems, approxes):
-        floor = tol * _max_principle_bound(p_eps, grid)
+    for bound, row in zip(bounds, approxes):
+        floor = tol * bound
         for approx in row:
             bottom, top = approx.layer_amplitudes()
             live = np.flatnonzero(np.maximum(np.abs(bottom), np.abs(top)) > floor)
             if live.size:
                 fastest = max(fastest, int(mode_numbers(approx.n_modes)[live[-1]]))
-    need = fastest * math.pi * grid.dy / min(p_eps.eps for p_eps in problems)
+    need = fastest * math.pi * grid.dy / min(eps_values)
     r = 1
     while r < need:
         r *= 2
@@ -279,52 +302,76 @@ def _solve_record(field: Field2D, stats: SolveStats) -> dict:
             "residual_floor": stats.residual_floor}
 
 
-def _output_rows(p: ProblemSpec, grid: Grid2D, n_x: int, level: int,
-                 tol: float, max_iter: int) -> tuple:
-    """Solve on n_x x (level n_y) cells; keep the output grid's y-rows.
+def _single_solve_references(p: ProblemSpec, prepared: _PreparedGrid, eps_sq: Sequence[float],
+                             phi_max: float, tol: float, max_iter: int, estimate: bool):
+    """Yield ``(values, max_principle, error_estimate, solves)`` per eps^2 for r = 1.
 
-    Returns ``(values, solve_record)``.
+    One solve on the output grid and, with ``estimate``, one on its half
+    grid; both grids are prepared once for the whole sweep.
     """
-    field, stats = solve_fd(p, Grid2D(n_x=n_x, n_y=grid.n_y * level), tol=tol, max_iter=max_iter)
-    return field.values[:, ::level].copy(), _solve_record(field, stats)
+    half = _PreparedGrid(p, _half_grid(prepared.grid)) if estimate else None
+    for eps2 in eps_sq:
+        field, stats = prepared.solve(eps2, tol=tol, max_iter=max_iter)
+        est = float("nan")
+        if half is not None:
+            coarse, _ = half.solve(eps2, tol=tol, max_iter=max_iter)
+            est = _self_convergence(field.values, coarse.values)
+            del coarse
+        yield (field.values, _max_principle(field, phi_max, prepared.sup_f, eps2), est,
+               [_solve_record(field, stats)])
+        del field  # before the next solve
 
 
-def _reference(p: ProblemSpec, grid: Grid2D, r: int, tol: float, max_iter: int,
-               estimate: bool) -> tuple:
-    """Reference values on ``grid`` for refinement r (see module doc).
+def _refined_references(p: ProblemSpec, grid: Grid2D, r: int, eps_sq: Sequence[float],
+                        phi_max: float, tol: float, max_iter: int, estimate: bool):
+    """Yield ``(values, max_principle, error_estimate, solves)`` per eps^2 for r > 1.
 
-    Returns ``(values, max_principle, error_estimate, solves)``; the
-    max-principle check covers the finest solve, the estimate is NaN unless
-    requested, and ``solves`` records the solves the values come from.
+    The values are the y-Richardson extrapolation of the levels r and r/2
+    (module docstring); the max-principle check covers the finest solve, the
+    estimate is NaN unless requested, and ``solves`` records the two solves
+    the values come from.  Each grid level is prepared once and solved for
+    every eps^2 before the next one is prepared, finest first, and only the
+    output rows of each solve are kept.
     """
-    nan = float("nan")
-    if r == 1:
-        field, stats = solve_fd(p, grid, tol=tol, max_iter=max_iter)
-        est = (fd_self_convergence_estimate(p, field, tol=tol, max_iter=max_iter)
-               if estimate else nan)
-        return field.values, max_principle_check(field, p), est, [_solve_record(field, stats)]
-    fine, stats = solve_fd(p, Grid2D(n_x=grid.n_x, n_y=grid.n_y * r), tol=tol, max_iter=max_iter)
-    mp = max_principle_check(fine, p)
-    u_r = fine.values[:, ::r].copy()
-    solves = [_solve_record(fine, stats)]
-    del fine
-    u_half, half_record = _output_rows(p, grid, grid.n_x, r // 2, tol, max_iter)
-    solves.append(half_record)
-    ref = (4.0 * u_r - u_half) / 3.0
-    if not estimate:
-        return ref, mp, nan, solves
-    if grid.n_x % 2:
+    if estimate and grid.n_x % 2:
         raise ValueError("reference error estimate needs an even n_x")
-    if r >= 4:
-        level = r // 4
-        coarsest, _ = _output_rows(p, grid, grid.n_x, level, tol, max_iter)
-        est_y = float(np.max(np.abs(ref - (4.0 * u_half - coarsest) / 3.0))) / 15.0
-    else:
-        level, coarsest = 1, u_half
-        est_y = float(np.max(np.abs(u_r - u_half))) / 3.0
-    half_x, _ = _output_rows(p, grid, grid.n_x // 2, level, tol, max_iter)
-    est_x = float(np.max(np.abs(half_x - _restrict_x(coarsest)))) / 3.0
-    return ref, mp, est_y + est_x, solves
+    levels = [(grid.n_x, r), (grid.n_x, r // 2)]
+    if estimate:
+        if r >= 4:
+            levels.append((grid.n_x, r // 4))
+        levels.append((grid.n_x // 2, max(r // 4, 1)))
+    rows = []
+    mp = []
+    solves = [[] for _ in eps_sq]
+    for n_x, level in levels:
+        prepared = _PreparedGrid(p, Grid2D(n_x=n_x, n_y=grid.n_y * level))
+        kept = []
+        for i, eps2 in enumerate(eps_sq):
+            field, stats = prepared.solve(eps2, tol=tol, max_iter=max_iter)
+            kept.append(field.values[:, ::level].copy())
+            if level == r:
+                mp.append(_max_principle(field, phi_max, prepared.sup_f, eps2))
+            if n_x == grid.n_x and level >= r // 2:
+                solves[i].append(_solve_record(field, stats))
+            del field
+        rows.append(kept)
+        del prepared
+    for i in range(len(eps_sq)):
+        u_r, u_half = rows[0][i], rows[1][i]
+        ref = (4.0 * u_r - u_half) / 3.0
+        est = float("nan")
+        if estimate:
+            if r >= 4:
+                coarsest = rows[2][i]
+                est_y = float(np.max(np.abs(ref - (4.0 * u_half - coarsest) / 3.0))) / 15.0
+            else:
+                coarsest = u_half
+                est_y = float(np.max(np.abs(u_r - u_half))) / 3.0
+            est_x = float(np.max(np.abs(rows[-1][i] - _restrict_x(coarsest)))) / 3.0
+            est = est_y + est_x
+        for kept in rows:
+            kept[i] = None
+        yield ref, mp[i], est, solves[i]
 
 
 def remainder_norms(p: ProblemSpec, eps2_list: Sequence[float], orders: Sequence[int],
@@ -358,6 +405,13 @@ def remainder_norms(p: ProblemSpec, eps2_list: Sequence[float], orders: Sequence
     come from a least-squares fit across the eps^2 values, which therefore
     must contain at least three strictly increasing positive entries.
 
+    The eps-free work runs once per sweep, whatever the number of eps^2
+    values: the expansion's decomposition, mean profile, boundary series and
+    force coefficients, and the sampling of f, phi0 and phi1 with the
+    right-hand side of each grid solved (module docstring).  Each value
+    equals, bit for bit, what one ``solve_fd`` and one ``composite`` per
+    eps^2 give.
+
     Raises:
         InsufficientPoints: fewer than 3 eps^2 values.
         ValueError: bad eps^2 values, orders or ``refine``.
@@ -375,38 +429,56 @@ def remainder_norms(p: ProblemSpec, eps2_list: Sequence[float], orders: Sequence
         raise ValueError("orders must be nonnegative")
     if refine not in (1, "auto"):
         raise ValueError(f"refine must be 1 or 'auto', got {refine!r}")
-    problems = [p.with_eps(math.sqrt(e2)) for e2 in eps2]
+    eps_values = [math.sqrt(e2) for e2 in eps2]
+    eps_sq = [e**2 for e in eps_values]  # what a solve of p.with_eps(e) squares
+    xs = grid.x_nodes()
+    ys = grid.y_nodes()
 
-    def composites(p_eps):
-        return [composite(p_eps, order=n, n_modes=n_modes, quad_points=quad_points)
-                for n in orders]
-
-    # the rule needs every composite before the first solve; with r = 1 they
-    # are built one eps at a time, which keeps the sweep's memory peak lower
-    built = [composites(p_eps) for p_eps in problems] if refine == "auto" else None
-    wanted = 1 if built is None else _layer_refinement(problems, built, grid, tol)
+    # once per sweep: the expansion base with its force coefficients at the
+    # output rows, and the output grid's samples of the data
+    approxes = [[] for _ in eps_values]
+    raw = []
+    if orders:
+        for e in eps_values:
+            _check_eps(e)
+        base = _ExpansionBase(p, orders[-1], n_modes, quad_points)
+        approxes = [[ExpansionResult(base, e, n) for n in orders] for e in eps_values]
+        raw = base.force_coeffs(ys)
+    prepared = _PreparedGrid(p, grid)
+    phi_max = _phi_max(prepared)
+    wanted = 1
+    if refine == "auto":
+        bounds = [_bound(phi_max, prepared.sup_f, e2) for e2 in eps_sq]
+        wanted = _layer_refinement(approxes, eps_values, bounds, grid, tol)
     r = wanted
     while r > 1 and grid.n_x * (grid.n_y * r - 1) > MAX_REFERENCE_UNKNOWNS:
         r //= 2
     capped = r < wanted
+    if r == 1:
+        references = _single_solve_references(p, prepared, eps_sq, phi_max, tol, max_iter,
+                                              estimate_fd_error)
+    else:
+        del prepared
+        references = _refined_references(p, grid, r, eps_sq, phi_max, tol, max_iter,
+                                         estimate_fd_error)
 
-    xs = grid.x_nodes()
-    ys = grid.y_nodes()
     norms = {n: [] for n in orders}
     dirichlet = {n: [] for n in orders}
     estimates = []
     mp_results = []
     solves = []
-    for i, p_eps in enumerate(problems):
-        ref, mp, estimate, eps_solves = _reference(p_eps, grid, r, tol, max_iter,
-                                                   estimate_fd_error)
+    for row in approxes:
+        # not zip(references, ...): zip would hold the last tuple into the next solve
+        ref, mp, estimate, eps_solves = next(references)
         mp_results.append(mp)
         estimates.append(estimate)
         solves.append(eps_solves)
-        for n, approx in zip(orders, built[i] if built else composites(p_eps)):
-            diff = np.abs(ref - approx.evaluate_grid(xs, ys))
+        for n, approx in zip(orders, row):
+            diff = np.abs(ref - approx._grid_values(xs, ys, raw))
             norms[n].append(float(np.max(diff[:, 1:-1])))
             dirichlet[n].append(float(max(np.max(diff[:, 0]), np.max(diff[:, -1]))))
+            del diff
+        del ref  # before the next solve
 
     flagged = {
         n: [capped or bool(np.isfinite(est) and est > norms[n][i] / FD_ERROR_MARGIN)

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from anisolayer import expansion
 from anisolayer import (
     CosineSeries,
     MissingDerivatives,
@@ -269,6 +272,27 @@ class TestComposite:
         value = u(0.3, 0.7)
         assert isinstance(value, float)
         assert value == pytest.approx(u.evaluate_grid([0.3], [0.7])[0, 0], abs=1e-13)
+
+    def test_scattered_points_sample_the_force_in_blocks(self, monkeypatch):
+        # u(x, y) at P scattered points samples the force on at most
+        # (quad_points + 1) x _Y_BLOCK nodes at a time, with the unblocked values
+        base = builtin_problem("paper", eps=0.2)
+        largest = [0]
+
+        def f(x, y):
+            out = base.f(x, y)
+            largest[0] = max(largest[0], np.size(out))
+            return out
+
+        p = dataclasses.replace(base, f=f)
+        rng = np.random.default_rng(3)
+        x, y = rng.random(5000), rng.random(5000)
+        blocked = composite(p, order=1, n_modes=16, quad_points=64)(x, y)
+        assert 0 < largest[0] <= 65 * expansion._Y_BLOCK
+        monkeypatch.setattr(expansion, "_Y_BLOCK", 10**9)
+        whole = composite(p, order=1, n_modes=16, quad_points=64)(x, y)
+        assert largest[0] == 65 * 5000
+        assert np.max(np.abs(blocked - whole)) <= 1e-14
 
     def test_requires_derivatives_for_higher_orders(self):
         p = ProblemSpec(f=lambda x, y: np.cos(np.pi * x) * (1 + y),

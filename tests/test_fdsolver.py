@@ -149,6 +149,40 @@ class TestSolveFd:
         assert expected > 1e-7
         assert stats.relative_residual == pytest.approx(expected, rel=1e-3)
 
+    @staticmethod
+    def _unblocked_residual(b, u, inv_dx2, beta):
+        # the whole-array form of b - A u, term by term in the same order
+        r = np.multiply(u, -2.0 * (inv_dx2 + beta))
+        r += b
+        r[1:] += inv_dx2 * u[:-1]
+        r[:-1] += inv_dx2 * u[1:]
+        r[0] += inv_dx2 * u[0]
+        r[-1] += inv_dx2 * u[-1]
+        r[:, 1:] += beta * u[:, :-1]
+        r[:, :-1] += beta * u[:, 1:]
+        return r
+
+    @pytest.mark.parametrize("entries", [1, 3 * 37, 5 * 37, 2**16])
+    def test_residual_blocks_keep_every_bit(self, monkeypatch, entries):
+        # one, three or five x-rows per block, or one block: the same bits
+        rng = np.random.default_rng(7)
+        u = rng.standard_normal((64, 37)) * 10.0 ** rng.integers(-3, 4, (64, 37))
+        b = rng.standard_normal((64, 37))
+        inv_dx2, beta = 64.0**2 * 1.1, 0.37
+        monkeypatch.setattr(fdsolver, "_BLOCK_ENTRIES", entries)
+        r = b.copy()
+        fdsolver._subtract_operator(r, u, inv_dx2, beta)
+        assert np.array_equal(r, self._unblocked_residual(b, u, inv_dx2, beta))
+
+    @pytest.mark.parametrize("eps2", [1e-24, 0.01])
+    def test_data_with_zero_x_mean_passes_in_one_solve(self, eps2):
+        # no x-mean anywhere: the mean mode of u is rounding only
+        pi = np.pi
+        p = ProblemSpec(f=lambda x, y: np.cos(pi * x) * (1.0 + y), phi0=lambda x: np.cos(pi * x),
+                        phi1=lambda x: np.cos(3 * pi * x), eps=float(np.sqrt(eps2)))
+        _, stats = solve_fd(p, Grid2D(128, 512), max_iter=1)
+        assert stats.iterations == 1
+
     def test_tiny_eps_reaches_the_limit(self):
         # the discrete solution tends to its eps -> 0 limit, which the
         # eps^2 = 1e-12 solve already sits at on this grid

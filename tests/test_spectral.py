@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,8 @@ from anisolayer import (
     build_antiderivatives,
     builtin_problem,
     cosine_coeffs,
+    LayerTerm,
     decompose,
-    decaying_exp,
     eval_series,
     synthesize,
 )
@@ -157,11 +159,26 @@ class TestAntiderivatives:
 
 
 class TestDecayingExp:
+    """The layer factors exp(-k pi s / eps) of LayerTerm.coeffs."""
+
+    C = np.array([1.5, -0.25, 2.0])
+
+    def _bottom(self, eps):
+        return LayerTerm("bottom", CosineSeries(self.C), eps)
+
     def test_matches_exp_in_normal_range(self):
-        t = np.array([-0.5, -10.0, -700.0])
-        assert np.allclose(decaying_exp(t), np.exp(t))
+        eps = 0.01
+        s = np.array([0.0, 5e-3, 0.1, 0.7])  # exponents down to -660
+        k = np.arange(1, 4)[:, None]
+        expected = self.C[:, None] * np.exp(-np.pi * (k * s) / eps)
+        assert np.array_equal(self._bottom(eps).coeffs(s), expected)
 
     def test_clamps_deep_underflow_to_zero(self):
-        assert decaying_exp(-800.0) == 0.0
-        out = decaying_exp(np.array([-1.0, -1e6]))
-        assert out[1] == 0.0 and out[0] == pytest.approx(np.exp(-1.0))
+        # s / eps = 1e6 and 1e300: exact zeros, without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = self._bottom(1e-6).coeffs(np.array([1.0]))
+            deep = self._bottom(1e-300).coeffs(1.0)
+        assert np.all(out == 0.0) and np.all(deep == 0.0)
+        top = LayerTerm("top", CosineSeries(self.C), 1e-6).coeffs(np.array([0.0, 1.0]))
+        assert np.all(top[:, 0] == 0.0) and np.array_equal(top[:, 1], self.C)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 
@@ -276,3 +277,65 @@ class TestRemainderNorms:
         with pytest.raises(ValueError):
             remainder_norms(builtin_problem("paper"), [0.01, 0.05, 0.1], [0],
                             Grid2D(8, 8), refine=refine)
+
+
+def _counting_f(p):
+    """p with an f that records the number of points of each sampling."""
+    calls = []
+
+    def f(x, y):
+        out = p.f(x, y)
+        calls.append(np.size(out))
+        return out
+
+    return dataclasses.replace(p, f=f), calls
+
+
+class TestSweepSharesEpsFreeWork:
+    @pytest.mark.parametrize("refine", [1, "auto"])
+    def test_f_samples_do_not_grow_with_eps_count(self, refine):
+        counts = []
+        for eps2 in ([0.02, 0.05, 0.1], [0.02, 0.03, 0.05, 0.07, 0.1]):
+            p, calls = _counting_f(builtin_problem("paper"))
+            report = remainder_norms(p, eps2, [0, 1], Grid2D(16, 32), n_modes=8,
+                                     quad_points=64, refine=refine)
+            counts.append(sum(calls))
+        assert report.refinement == (1 if refine == 1 else 8)
+        assert counts[0] == counts[1]
+
+    def test_refined_reference_matches_one_solve_at_a_time(self):
+        # the 128 x 32 sweep of test_under_resolved_grid_gets_accurate_reference
+        # (r = 16), rebuilt eps by eps from solve_fd, composite and
+        # max_principle_check by the recipe the sweep documents
+        p = builtin_problem("paper")
+        eps2 = [0.02, 0.05, 0.1]
+        grid = Grid2D(128, 32)
+        kwargs = dict(n_modes=16, quad_points=256)
+        report = remainder_norms(p, eps2, [0, 1], grid, **kwargs)
+        r = report.refinement
+        assert r == 16
+        xs, ys = grid.x_nodes(), grid.y_nodes()
+
+        def rows(p_eps, n_x, level):
+            field, stats = solve_fd(p_eps, Grid2D(n_x, grid.n_y * level))
+            return field, field.values[:, ::level].copy(), validation._solve_record(field, stats)
+
+        for i, e2 in enumerate(eps2):
+            p_eps = p.with_eps(float(np.sqrt(e2)))
+            fine, u_r, fine_record = rows(p_eps, 128, r)
+            mp = max_principle_check(fine, p_eps)
+            _, u_half, half_record = rows(p_eps, 128, r // 2)
+            ref = (4.0 * u_r - u_half) / 3.0
+            _, coarsest, _ = rows(p_eps, 128, r // 4)
+            est_y = float(np.max(np.abs(ref - (4.0 * u_half - coarsest) / 3.0))) / 15.0
+            _, half_x, _ = rows(p_eps, 64, r // 4)
+            est_x = float(np.max(np.abs(half_x - validation._restrict_x(coarsest)))) / 3.0
+            assert report.fd_error_estimates[i] == est_y + est_x
+            assert report.reference_solves[i] == [fine_record, half_record]
+            assert (report.max_principle[i].bound, report.max_principle[i].max_abs) == (
+                mp.bound, mp.max_abs)
+            for n in (0, 1):
+                diff = np.abs(ref - composite(p_eps, order=n, **kwargs).evaluate_grid(xs, ys))
+                assert report.norms[n][i] == float(np.max(diff[:, 1:-1]))
+                assert report.dirichlet_errors[n][i] == float(
+                    max(np.max(diff[:, 0]), np.max(diff[:, -1])))
