@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Sequence
@@ -81,20 +82,25 @@ def _eps2_list(text: str) -> list:
         raise argparse.ArgumentTypeError(f"cannot parse eps^2 list {text!r}")
     if not values:
         raise argparse.ArgumentTypeError("empty eps^2 list")
+    if not all(math.isfinite(v) for v in values):
+        raise argparse.ArgumentTypeError(f"eps^2 values must be finite, got {text!r}")
     return values
 
 
 def _orders_list(text: str) -> list:
     try:
-        return [int(tok) for tok in text.split(",") if tok]
+        values = [int(tok) for tok in text.split(",") if tok]
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse orders list {text!r}")
+    if not values:
+        raise argparse.ArgumentTypeError("empty orders list")
+    return values
 
 
 def _positive(text: str) -> float:
     value = float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"expected a positive value, got {text}")
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"expected a positive finite value, got {text}")
     return value
 
 

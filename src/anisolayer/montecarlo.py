@@ -11,10 +11,11 @@ by Euler-Maruyama; reflection is applied through the exact folding map of the
 line onto [0, 1], and the running force integral uses the left-endpoint rule.
 
 Paths are split into fixed-size chunks, each drawing from its own SFC64
-stream spawned from the seed.  The chunks run on all usable cores: the
-calling process runs some of them and forked worker processes the rest.  A
-chunk's result depends only on its stream, so the estimate is bit-identical
-for a given seed and config whatever the number of workers.
+stream spawned from the seed.  The chunks run on all usable cores: a pool of
+forked worker processes pulls chunk indices, and the calling process runs
+chunks itself only when it is the only worker.  A chunk's result depends
+only on its stream, so the estimate is bit-identical for a given seed and
+config whatever the number of workers.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import json
 import math
 import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,7 +117,7 @@ def estimate_point(p: ProblemSpec, x0: float, y0: float, cfg: McConfig) -> McEst
     Raises:
         DegenerateStart: y0 on or outside the absorbing boundaries.
         NonFiniteValue: problem data evaluated to NaN/inf along a path.
-        ChildProcessError: a worker process died before returning its chunks.
+        ChildProcessError: a worker process died before returning its chunk.
         Any exception the problem's functions raise in a worker process is
         raised again here.
     """
@@ -168,51 +171,35 @@ def _workers(n_chunks: int) -> int:
 def _run_chunks(job: tuple, n_chunks: int) -> list:
     """Results of every chunk, in chunk order.
 
-    With w workers, chunk c runs in the calling process when c % w == 0 and in
-    forked worker (c % w) otherwise.  The workers inherit ``job`` through the
-    fork, so the problem's functions are never pickled; only the results come
-    back, through one pipe per worker.
+    With one worker the calling process runs every chunk.  Otherwise a pool
+    of forked worker processes pulls chunk indices and the caller only
+    collects.  The workers inherit ``job`` through the fork, so the problem's
+    functions are never pickled; only chunk indices and results are.
     """
     workers = _workers(n_chunks)
-    results: list = [None] * n_chunks
-    procs = []
-    ctx = multiprocessing.get_context("fork") if workers > 1 else None
+    if workers == 1:
+        return [_run_indexed_chunk(job, c) for c in range(n_chunks)]
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_set_worker_job, initargs=(job,))
     try:
-        for w in range(1, workers):
-            receiver, sender = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_serve_chunks,
-                               args=(job, range(w, n_chunks, workers), sender))
-            proc.start()
-            sender.close()
-            procs.append((proc, receiver))
-        for c in range(0, n_chunks, workers):
-            results[c] = _run_indexed_chunk(job, c)
-        for w, (proc, receiver) in enumerate(procs, start=1):
-            try:
-                got = receiver.recv()
-            except EOFError:
-                proc.join()
-                raise ChildProcessError(f"Monte Carlo worker exited with code {proc.exitcode} "
-                                        "before returning its chunks") from None
-            if isinstance(got, Exception):
-                raise got
-            results[w::workers] = got
+        return list(pool.map(_run_worker_chunk, range(n_chunks)))
+    except BrokenProcessPool:
+        raise ChildProcessError("a Monte Carlo worker process died before "
+                                "returning its chunk") from None
     finally:
-        for proc, receiver in procs:
-            proc.terminate()
-            proc.join()
-            receiver.close()
-    return results
+        pool.shutdown(cancel_futures=True)
 
 
-def _serve_chunks(job: tuple, indices: range, conn) -> None:
-    """Worker-process body: send the results of the given chunks, or the error."""
-    try:
-        got = [_run_indexed_chunk(job, c) for c in indices]
-    except Exception as exc:  # re-raised by the calling process
-        got = exc
-    conn.send(got)
-    conn.close()
+_worker_job: tuple | None = None  # set by the initializer, in pool workers only
+
+
+def _set_worker_job(job: tuple) -> None:
+    global _worker_job
+    _worker_job = job
+
+
+def _run_worker_chunk(index: int) -> tuple[np.ndarray, np.ndarray, int]:
+    return _run_indexed_chunk(_worker_job, index)
 
 
 def _run_indexed_chunk(job: tuple, index: int) -> tuple[np.ndarray, np.ndarray, int]:

@@ -425,8 +425,12 @@ def remainder_norms(p: ProblemSpec, eps2_list: Sequence[float], orders: Sequence
     if sorted(set(eps2)) != eps2:
         raise ValueError("eps^2 values must be strictly increasing")
     orders = sorted(int(n) for n in orders)
-    if orders and orders[0] < 0:
+    if not orders:
+        raise ValueError("need at least one order")
+    if orders[0] < 0:
         raise ValueError("orders must be nonnegative")
+    if len(set(orders)) != len(orders):
+        raise ValueError(f"orders must not repeat, got {orders}")
     if refine not in (1, "auto"):
         raise ValueError(f"refine must be 1 or 'auto', got {refine!r}")
     eps_values = [math.sqrt(e2) for e2 in eps2]
@@ -436,14 +440,11 @@ def remainder_norms(p: ProblemSpec, eps2_list: Sequence[float], orders: Sequence
 
     # once per sweep: the expansion base with its force coefficients at the
     # output rows, and the output grid's samples of the data
-    approxes = [[] for _ in eps_values]
-    raw = []
-    if orders:
-        for e in eps_values:
-            _check_eps(e)
-        base = _ExpansionBase(p, orders[-1], n_modes, quad_points)
-        approxes = [[ExpansionResult(base, e, n) for n in orders] for e in eps_values]
-        raw = base.force_coeffs(ys)
+    for e in eps_values:
+        _check_eps(e)
+    base = _ExpansionBase(p, orders[-1], n_modes, quad_points)
+    approxes = [[ExpansionResult(base, e, n) for n in orders] for e in eps_values]
+    raw = base.force_coeffs(ys)
     prepared = _PreparedGrid(p, grid)
     phi_max = _phi_max(prepared)
     wanted = 1

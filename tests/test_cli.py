@@ -266,7 +266,7 @@ def test_numerical_failure_maps_to_exit_2(monkeypatch, capsys):
 
 
 def _refuse(*args, **kwargs):
-    raise AssertionError("numerical work started before the output path was checked")
+    raise AssertionError("numerical work started before the request was checked")
 
 
 _PATH_CASES = {
@@ -322,6 +322,37 @@ def test_fd_max_iter_below_one_is_usage_error(value, tmp_path, monkeypatch, caps
     err = capsys.readouterr().err
     assert "--max-iter" in err and "positive integer" in err
     assert not out.exists()
+
+
+_BAD_VALUE_CASES = {
+    "fd-tol-nan": ["fd", "--problem", "paper", "--eps2", "0.05", "--nx", "8", "--ny", "8",
+                   "--tol", "nan", "--out", "field.csv"],
+    "fd-eps2-inf": ["fd", "--problem", "paper", "--eps2", "inf", "--nx", "8", "--ny", "8",
+                    "--out", "field.csv"],
+    "mc-eps2-inf": ["mc", "--problem", "paper", "--eps2", "inf", "--x", "0.5", "--y", "0.5",
+                    "--paths", "100", "--dt", "1e-3", "--out", "estimate.json"],
+    "check-tol-compat-inf": ["check", "--problem", "paper", "--tol-compat", "inf"],
+    "convergence-eps2-nan": ["convergence", "--problem", "paper", "--eps2", "0.01,nan,0.1",
+                             "--nx", "8", "--ny", "8", "--out", "table.csv"],
+    "convergence-orders-empty": ["convergence", "--problem", "paper", "--eps2", "0.01,0.05,0.1",
+                                 "--orders", "", "--nx", "8", "--ny", "8", "--out", "table.csv"],
+    "convergence-orders-repeated": ["convergence", "--problem", "paper",
+                                    "--eps2", "0.01,0.05,0.1", "--orders", "0,0",
+                                    "--nx", "8", "--ny", "8", "--out", "table.csv"],
+}
+
+
+@pytest.mark.parametrize("argv", list(_BAD_VALUE_CASES.values()), ids=list(_BAD_VALUE_CASES))
+def test_bad_values_are_usage_errors_before_computing(argv, tmp_path, monkeypatch, capsys):
+    # repeated orders reach remainder_norms, which refuses them before any solve
+    monkeypatch.chdir(tmp_path)
+    for target in ("solve_fd", "estimate_point", "check_compatibility"):
+        monkeypatch.setattr(cli_module, target, _refuse)
+    code = run(argv)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_convergence_sidecar_directory_is_usage_error(tmp_path, monkeypatch, capsys):

@@ -76,13 +76,13 @@ def _usable_cores(monkeypatch, n):
 
 @pytest.mark.parametrize("bridge", [False, True])
 def test_parallel_chunks_match_serial_rebuild(monkeypatch, bridge):
-    # three workers on four chunks: the caller runs chunks 0 and 3, each of
-    # the two forked workers one chunk
+    # three forked pool workers pull the four chunks; the caller runs none
     _usable_cores(monkeypatch, 3)
     p = builtin_problem("paper", eps=0.3)
     n_paths = 3 * montecarlo._CHUNK + 7
     cfg = McConfig(dt=1e-3, n_paths=n_paths, seed=4, bridge_correction=bridge)
     est = estimate_point(p, 0.25, 0.1, cfg)
+    assert multiprocessing.active_children() == []
 
     payoffs, steps, n_bottom = [], [], 0
     for index, stream in enumerate(np.random.SeedSequence(4).spawn(4)):
@@ -139,7 +139,7 @@ def _die(x):
                                             (_die, ChildProcessError)],
                          ids=["raises", "nan", "exits"])
 def test_worker_failure_reaches_caller(monkeypatch, failure, error):
-    # two chunks on two workers: only the forked worker runs chunk 1
+    # two chunks on two forked pool workers: the failure happens only there
     _usable_cores(monkeypatch, 2)
     p = ProblemSpec(f=_in_worker(failure), phi0=_flat(0.0), phi1=_flat(1.0), eps=0.2)
     cfg = McConfig(dt=1e-3, n_paths=2 * montecarlo._CHUNK, seed=5)

@@ -278,6 +278,12 @@ class TestRemainderNorms:
             remainder_norms(builtin_problem("paper"), [0.01, 0.05, 0.1], [0],
                             Grid2D(8, 8), refine=refine)
 
+    @pytest.mark.parametrize("orders", [[], [0, 0], [1, 0, 1], [-1]])
+    def test_orders_must_be_distinct_and_nonnegative(self, orders):
+        with pytest.raises(ValueError):
+            remainder_norms(builtin_problem("paper"), [0.01, 0.05, 0.1], orders,
+                            Grid2D(16, 32), n_modes=8, quad_points=64, refine=1)
+
 
 def _counting_f(p):
     """p with an f that records the number of points of each sampling."""
