@@ -12,11 +12,11 @@ import numpy as np
 from .errors import NonFiniteValue
 
 
-def require_even(quad_points: int, minimum: int = 8) -> int:
-    """Validate a Simpson resolution: at least `minimum` and even."""
+def require_even(quad_points: int) -> int:
+    """Validate a Simpson resolution: at least 8 and even."""
     n = int(quad_points)
-    if n < minimum:
-        raise ValueError(f"quad_points must be >= {minimum}, got {n}")
+    if n < 8:
+        raise ValueError(f"quad_points must be >= 8, got {n}")
     if n % 2:
         raise ValueError(f"composite Simpson needs an even interval count, got {n}")
     return n

@@ -43,7 +43,7 @@ from .errors import (
 )
 from .expansion import composite
 from .fdsolver import DEFAULT_MAX_ITER, DEFAULT_TOL, Field2D, Grid2D, solve_fd
-from .montecarlo import McConfig, estimate_point
+from .montecarlo import DEFAULT_DT, DEFAULT_PATHS, McConfig, estimate_point
 from .problem import (
     BUILTIN_PROBLEM_NAMES,
     DEFAULT_COMPAT_STEP,
@@ -177,9 +177,9 @@ def build_parser() -> _Parser:
     sp.add_argument("--eps2", type=_positive, required=True)
     sp.add_argument("--x", type=float, required=True, help="start abscissa in [0,1]")
     sp.add_argument("--y", type=float, required=True, help="start ordinate in (0,1)")
-    sp.add_argument("--paths", type=int, default=10_000)
+    sp.add_argument("--paths", type=int, default=DEFAULT_PATHS)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--dt", type=_positive, default=1e-5)
+    sp.add_argument("--dt", type=_positive, default=DEFAULT_DT)
     sp.add_argument("--bridge", action="store_true",
                     help="enable the Brownian-bridge exit correction")
     sp.add_argument("--out", help="JSON path; stdout when omitted")
@@ -195,17 +195,17 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _meta(args: argparse.Namespace, skip=("out",)) -> dict:
+def _meta(args: argparse.Namespace) -> dict:
     meta = {"tool": f"anisolayer {__version__}", "command": args.command}
     for key, val in sorted(vars(args).items()):
-        if key in ("command",) or key in skip or val is None:
+        if key in ("command", "out") or val is None:
             continue
         meta[key] = val
     return meta
 
 
 def _write_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2)
+    text = json.dumps(payload, indent=2, allow_nan=False)
     if out is None:
         print(text)
     else:

@@ -22,7 +22,7 @@ class MissingDerivatives(ValueError):
 
 
 class NoConvergence(RuntimeError):
-    """Iterative solver failed to reach the requested residual tolerance."""
+    """A five-point solve's true residual missed tol plus its rounding floor."""
 
 
 class GridMismatch(ValueError):

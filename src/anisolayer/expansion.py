@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
+from scipy.linalg import solveh_banded
 
 from ._quad import check_finite, require_even, simpson_weights, unit_nodes
 from .errors import MissingDerivatives
@@ -89,7 +90,7 @@ def mean_solution(d: DecomposedProblem,
 
 
 def mean_solution_bvp(d: DecomposedProblem, n_cells: int) -> np.ndarray:
-    """Mean profile by the three-point scheme and a Thomas solve.
+    """Mean profile by the three-point scheme and a banded Cholesky solve.
 
     Independent second-order oracle for :func:`mean_solution`: solves
     -u'' = fbar on ``n_cells + 1`` uniform nodes with u(0) = phibar0,
@@ -103,27 +104,13 @@ def mean_solution_bvp(d: DecomposedProblem, n_cells: int) -> np.ndarray:
     rhs = check_finite(d.fbar(y[1:-1]), "fbar") * dy * dy
     rhs[0] += d.phibar0
     rhs[-1] += d.phibar1
-
-    # Thomas algorithm for the (2, -1) tridiagonal system
-    k = m - 1
-    c_prime = np.empty(k - 1)
-    d_prime = np.empty(k)
-    c_prime[0] = -1.0 / 2.0
-    d_prime[0] = rhs[0] / 2.0
-    for j in range(1, k):
-        denom = 2.0 + c_prime[j - 1]
-        if j < k - 1:
-            c_prime[j] = -1.0 / denom
-        d_prime[j] = (rhs[j] + d_prime[j - 1]) / denom
-    interior = np.empty(k)
-    interior[-1] = d_prime[-1]
-    for j in range(k - 2, -1, -1):
-        interior[j] = d_prime[j] - c_prime[j] * interior[j + 1]
+    # the symmetric positive definite (2, -1) matrix in upper banded form
+    bands = np.array([np.full(m - 1, -1.0), np.full(m - 1, 2.0)])
 
     out = np.empty(m + 1)
     out[0] = d.phibar0
     out[-1] = d.phibar1
-    out[1:-1] = interior
+    out[1:-1] = solveh_banded(bands, rhs)
     return out
 
 
@@ -173,11 +160,11 @@ def layer_term(series: CosineSeries, side: str, eps: float) -> LayerTerm:
 class _ExpansionBase:
     """The eps-free part of every u[2n] of one problem, K and quadrature.
 
-    Holds the decomposition, the mean profile, the boundary-data series and
-    the force sources of the orders up to ``order``, with the raw cosine
-    coefficients of each source at y = 0 and 1.  An ``ExpansionResult`` is
-    assembled from it for any eps and any order up to ``order`` by the
-    prefactors eps^{2m} / (k pi)^{2m} alone.
+    Holds the mean profile, the boundary-data series and the force sources
+    of the orders up to ``order``, with the raw cosine coefficients of each
+    source at y = 0 and 1.  An ``ExpansionResult`` is assembled from it for
+    any eps and any order up to ``order`` by the prefactors
+    eps^{2m} / (k pi)^{2m} alone.
     """
 
     def __init__(self, p: ProblemSpec, order: int, n_modes: int, quad_points: int):
@@ -190,7 +177,6 @@ class _ExpansionBase:
         self.n_modes = int(n_modes)
         self.quad_points = require_even(quad_points)
         d = decompose(p, self.quad_points)
-        self.decomposed = d
         self.mean = mean_solution(d, self.quad_points)
         self.bottom_series = cosine_coeffs(d.phitilde0, self.n_modes, self.quad_points)
         self.top_series = cosine_coeffs(d.phitilde1, self.n_modes, self.quad_points)
@@ -236,8 +222,6 @@ class ExpansionResult:
         self.order = int(order)
         self.eps = float(eps)
         self.n_modes = base.n_modes
-        self.quad_points = base.quad_points
-        self.decomposed = base.decomposed
         self.mean = base.mean
         self.bottom_series = base.bottom_series
         self.top_series = base.top_series

@@ -195,7 +195,8 @@ class _PreparedGrid:
         self._lam = 4.0 * self._inv_dy2 * np.sin(
             np.arange(1, grid.n_y) * (np.pi / (2 * grid.n_y))) ** 2
 
-    def solve(self, eps2: float, tol: float, max_iter: int) -> tuple[Field2D, SolveStats]:
+    def solve(self, eps2: float, tol: float,
+              max_iter: int = DEFAULT_MAX_ITER) -> tuple[Field2D, SolveStats]:
         """The five-point solution for anisotropy eps^2 (see ``solve_fd``)."""
         if tol < 1e-14:
             raise ValueError(f"tol must be >= 1e-14, got {tol}")

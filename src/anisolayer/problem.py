@@ -169,10 +169,14 @@ def check_compatibility(
     The Neumann side conditions require both Dirichlet data to have vanishing
     slope at the corners; the report carries the four measured magnitudes and
     passes iff all are within ``tol_compat``.  Report only: callers decide
-    whether to abort.
+    whether to abort.  ``h`` must keep 1 - 2h < 1 - h < 1 in doubles, or every
+    quotient at x = 1 reads 0.
     """
     if not 0.0 < h < 1e-2:
         raise ValueError(f"h must lie in (0, 1e-2), got {h}")
+    if not 1.0 - 2.0 * h < 1.0 - h < 1.0:
+        raise ValueError(f"h = {h:g} is too small: 1 - h and 1 - 2h round together "
+                         "or to 1 in double precision")
     return CompatibilityReport(
         phi0_at_0=_one_sided_slope(p.phi0, 0.0, h, +1),
         phi0_at_1=_one_sided_slope(p.phi0, 1.0, h, -1),
@@ -183,12 +187,12 @@ def check_compatibility(
     )
 
 
-def check_derivatives(p: ProblemSpec, tol_deriv: float = DEFAULT_DERIV_TOL) -> bool:
+def check_derivatives(p: ProblemSpec) -> bool:
     """Spot-check supplied y-derivatives of f against central differences.
 
     Sanity check only; the supplied callables are otherwise trusted as exact.
     Compares each derivative against a central quotient of its predecessor on
-    a coarse interior sample grid.
+    a coarse interior sample grid, to within DEFAULT_DERIV_TOL.
     """
     if not p.f_y_derivs:
         return True
@@ -199,7 +203,7 @@ def check_derivatives(p: ProblemSpec, tol_deriv: float = DEFAULT_DERIV_TOL) -> b
     for lower, upper in zip(chain[:-1], chain[1:]):
         for y in ys:
             approx = (lower(xs, y + h) - lower(xs, y - h)) / (2.0 * h)
-            if np.max(np.abs(approx - upper(xs, y))) > tol_deriv:
+            if np.max(np.abs(approx - upper(xs, y))) > DEFAULT_DERIV_TOL:
                 return False
     return True
 

@@ -63,8 +63,8 @@ from scipy.fft import dct, idct
 from .errors import InsufficientPoints, NonPositiveNorm
 # composite stays importable from here: perfbench's tracer wraps it by this name
 from .expansion import ExpansionResult, _check_eps, _ExpansionBase, composite  # noqa: F401
-from .fdsolver import (CSV_FLOAT_FORMAT, DEFAULT_MAX_ITER, DEFAULT_TOL, Field2D, Grid2D,
-                       SolveStats, _PreparedGrid, solve_fd)
+from .fdsolver import (CSV_FLOAT_FORMAT, DEFAULT_TOL, Field2D, Grid2D, SolveStats,
+                       _PreparedGrid, solve_fd)
 from .problem import DEFAULT_QUAD_POINTS, DecomposedProblem, ProblemSpec
 from .spectral import DEFAULT_MODES, AntiderivativeStack, analyze, mode_numbers
 
@@ -232,9 +232,7 @@ def matching_identity_check(d: DecomposedProblem, stack: AntiderivativeStack,
     return worst
 
 
-def fd_self_convergence_estimate(p: ProblemSpec, fine: Field2D,
-                                 tol: float = DEFAULT_TOL,
-                                 max_iter: int = DEFAULT_MAX_ITER) -> float:
+def fd_self_convergence_estimate(p: ProblemSpec, fine: Field2D) -> float:
     """Richardson estimate of the five-point solution's own error.
 
     Solves once more on the half-resolution grid, restricts the fine solution
@@ -242,7 +240,7 @@ def fd_self_convergence_estimate(p: ProblemSpec, fine: Field2D,
     cosine modes are resampled, see ``_restrict_x``) and returns one third of
     the sup-norm difference, the second-order Richardson constant.
     """
-    coarse, _ = solve_fd(p, _half_grid(fine.grid), tol=tol, max_iter=max_iter)
+    coarse, _ = solve_fd(p, _half_grid(fine.grid))
     return _self_convergence(fine.values, coarse.values)
 
 
@@ -303,7 +301,7 @@ def _solve_record(field: Field2D, stats: SolveStats) -> dict:
 
 
 def _single_solve_references(p: ProblemSpec, prepared: _PreparedGrid, eps_sq: Sequence[float],
-                             phi_max: float, tol: float, max_iter: int, estimate: bool):
+                             phi_max: float, tol: float, estimate: bool):
     """Yield ``(values, max_principle, error_estimate, solves)`` per eps^2 for r = 1.
 
     One solve on the output grid and, with ``estimate``, one on its half
@@ -311,10 +309,10 @@ def _single_solve_references(p: ProblemSpec, prepared: _PreparedGrid, eps_sq: Se
     """
     half = _PreparedGrid(p, _half_grid(prepared.grid)) if estimate else None
     for eps2 in eps_sq:
-        field, stats = prepared.solve(eps2, tol=tol, max_iter=max_iter)
-        est = float("nan")
+        field, stats = prepared.solve(eps2, tol=tol)
+        est = None
         if half is not None:
-            coarse, _ = half.solve(eps2, tol=tol, max_iter=max_iter)
+            coarse, _ = half.solve(eps2, tol=tol)
             est = _self_convergence(field.values, coarse.values)
             del coarse
         yield (field.values, _max_principle(field, phi_max, prepared.sup_f, eps2), est,
@@ -323,12 +321,12 @@ def _single_solve_references(p: ProblemSpec, prepared: _PreparedGrid, eps_sq: Se
 
 
 def _refined_references(p: ProblemSpec, grid: Grid2D, r: int, eps_sq: Sequence[float],
-                        phi_max: float, tol: float, max_iter: int, estimate: bool):
+                        phi_max: float, tol: float, estimate: bool):
     """Yield ``(values, max_principle, error_estimate, solves)`` per eps^2 for r > 1.
 
     The values are the y-Richardson extrapolation of the levels r and r/2
     (module docstring); the max-principle check covers the finest solve, the
-    estimate is NaN unless requested, and ``solves`` records the two solves
+    estimate is None unless requested, and ``solves`` records the two solves
     the values come from.  Each grid level is prepared once and solved for
     every eps^2 before the next one is prepared, finest first, and only the
     output rows of each solve are kept.
@@ -347,7 +345,7 @@ def _refined_references(p: ProblemSpec, grid: Grid2D, r: int, eps_sq: Sequence[f
         prepared = _PreparedGrid(p, Grid2D(n_x=n_x, n_y=grid.n_y * level))
         kept = []
         for i, eps2 in enumerate(eps_sq):
-            field, stats = prepared.solve(eps2, tol=tol, max_iter=max_iter)
+            field, stats = prepared.solve(eps2, tol=tol)
             kept.append(field.values[:, ::level].copy())
             if level == r:
                 mp.append(_max_principle(field, phi_max, prepared.sup_f, eps2))
@@ -359,7 +357,7 @@ def _refined_references(p: ProblemSpec, grid: Grid2D, r: int, eps_sq: Sequence[f
     for i in range(len(eps_sq)):
         u_r, u_half = rows[0][i], rows[1][i]
         ref = (4.0 * u_r - u_half) / 3.0
-        est = float("nan")
+        est = None
         if estimate:
             if r >= 4:
                 coarsest = rows[2][i]
@@ -376,7 +374,6 @@ def _refined_references(p: ProblemSpec, grid: Grid2D, r: int, eps_sq: Sequence[f
 
 def remainder_norms(p: ProblemSpec, eps2_list: Sequence[float], orders: Sequence[int],
                     grid: Grid2D, n_modes: int = DEFAULT_MODES, tol: float = DEFAULT_TOL,
-                    max_iter: int = DEFAULT_MAX_ITER,
                     quad_points: int = DEFAULT_QUAD_POINTS,
                     estimate_fd_error: bool = True,
                     refine: Literal[1, "auto"] = "auto") -> ErrorReport:
@@ -398,8 +395,9 @@ def remainder_norms(p: ProblemSpec, eps2_list: Sequence[float], orders: Sequence
     The expansion's cosine truncation error, which sits on those rows, is
     kept out of the norms only while dy >> eps / (K pi) (module docstring).
     ``fd_error_estimates`` estimate the error of the reference actually used,
-    in x and y (see the module docstring), and ``flagged`` marks each cell
-    whose estimate exceeds a tenth of its norm.  ``reference_solves`` lists,
+    in x and y (see the module docstring), or are None without
+    ``estimate_fd_error``, and ``flagged`` marks each cell whose estimate
+    exceeds a tenth of its norm.  ``reference_solves`` lists,
     per eps^2, the grid, transform-solve count, relative residual and
     residual floor of each solve the reference values come from.  Slopes
     come from a least-squares fit across the eps^2 values, which therefore
@@ -456,12 +454,11 @@ def remainder_norms(p: ProblemSpec, eps2_list: Sequence[float], orders: Sequence
         r //= 2
     capped = r < wanted
     if r == 1:
-        references = _single_solve_references(p, prepared, eps_sq, phi_max, tol, max_iter,
+        references = _single_solve_references(p, prepared, eps_sq, phi_max, tol,
                                               estimate_fd_error)
     else:
         del prepared
-        references = _refined_references(p, grid, r, eps_sq, phi_max, tol, max_iter,
-                                         estimate_fd_error)
+        references = _refined_references(p, grid, r, eps_sq, phi_max, tol, estimate_fd_error)
 
     norms = {n: [] for n in orders}
     dirichlet = {n: [] for n in orders}
@@ -482,7 +479,7 @@ def remainder_norms(p: ProblemSpec, eps2_list: Sequence[float], orders: Sequence
         del ref  # before the next solve
 
     flagged = {
-        n: [capped or bool(np.isfinite(est) and est > norms[n][i] / FD_ERROR_MARGIN)
+        n: [capped or (est is not None and est > norms[n][i] / FD_ERROR_MARGIN)
             for i, est in enumerate(estimates)]
         for n in orders
     }

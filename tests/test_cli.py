@@ -165,6 +165,23 @@ def test_convergence_refine_auto_records_solved_grid(tmp_path, capsys):
         assert len(errors) == 3 and all(1e-6 < e < 1e-3 for e in errors)
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
+def test_convergence_sidecar_without_estimate_is_strict_json(tmp_path):
+    # estimates that were not made are null, not NaN
+    out = tmp_path / "table.csv"
+    code = run(["convergence", "--problem", "paper", "--eps2", "0.02,0.05,0.1",
+                "--nx", "16", "--ny", "16", "--modes", "8", "--quad-points", "64",
+                "--no-fd-error-estimate", "--out", str(out)])
+    assert code == 0
+    sidecar = json.loads((tmp_path / "table.json").read_text(),
+                         parse_constant=_reject_constant)
+    assert sidecar["fd_error_estimates"] == [None] * 3
+    assert sidecar["flagged"] == {"r0": [False] * 3, "r2": [False] * 3}
+
+
 def test_convergence_sidecar_reruns_are_byte_identical(tmp_path):
     # the reference block carries the solver diagnostics but no wall time
     argv = ["convergence", "--problem", "paper", "--eps2", "0.02,0.05,0.1",
@@ -241,6 +258,12 @@ def test_identity_json(tmp_path):
     assert payload["max_deviation"] < 1e-7
     assert payload["kmax"] == 4
     assert len(payload["y_samples"]) == 9
+
+
+def test_check_step_too_small_for_doubles_is_usage_error(capsys):
+    # 1 - 1e-300 rounds to 1, so every slope would read 0 and pass
+    code = run(["check", "--problem", "paper", "--h", "1e-300"])
+    _assert_one_line_usage_error(code, capsys, "check", "h = 1e-300 is too small")
 
 
 @pytest.mark.parametrize("flag", ["--kmax", "--y-samples"])

@@ -84,6 +84,20 @@ class TestMeanSolutionBvp:
         ratio = err(128) / err(256)
         assert ratio == pytest.approx(4.0, abs=0.3)
 
+    @pytest.mark.parametrize("name", ["paper", "constant-force", "no-layer"])
+    @pytest.mark.parametrize("m", [16, 257])
+    def test_matches_dense_solve(self, name, m):
+        d = decompose(builtin_problem(name))
+        dy = 1.0 / m
+        y = np.linspace(0.0, 1.0, m + 1)
+        a = 2.0 * np.eye(m - 1) - np.eye(m - 1, k=1) - np.eye(m - 1, k=-1)
+        rhs = d.fbar(y[1:-1]) * dy * dy
+        rhs[0] += d.phibar0
+        rhs[-1] += d.phibar1
+        vals = mean_solution_bvp(d, m)
+        assert (vals[0], vals[-1]) == (d.phibar0, d.phibar1)
+        assert np.max(np.abs(vals[1:-1] - np.linalg.solve(a, rhs))) <= 1e-14
+
     def test_rejects_tiny_grids(self):
         d = decompose(builtin_problem("zero"), quad_points=32)
         with pytest.raises(ValueError):

@@ -271,6 +271,9 @@ class TestRemainderNorms:
         report = remainder_norms(p, [0.001, 0.01, 0.1], [0, 1], Grid2D(16, 32),
                                  n_modes=16, quad_points=128, estimate_fd_error=False)
         assert report.refinement == 1 and not report.refinement_capped
+        # no estimate was made: None, which JSON writes as null, not NaN
+        assert report.fd_error_estimates == [None] * 3
+        json.dumps(report.sidecar_dict(), allow_nan=False)
 
     @pytest.mark.parametrize("refine", [0, 2, 3, "fine"])
     def test_refine_must_be_one_or_auto(self, refine):
