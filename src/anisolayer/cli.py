@@ -162,7 +162,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--ny", type=int, required=True)
     sp.add_argument("--modes", type=int, default=DEFAULT_MODES)
     sp.add_argument("--quad-points", type=int, default=DEFAULT_QUAD_POINTS)
-    sp.add_argument("--tol", type=_positive, default=DEFAULT_TOL)
     sp.add_argument("--no-fd-error-estimate", action="store_true",
                     help="skip the estimate of the reference's own error")
     sp.add_argument("--refine", type=_refine, choices=(1, "auto"), default=1,
@@ -279,7 +278,7 @@ def _cmd_convergence(args) -> int:
     grid = Grid2D(n_x=args.nx, n_y=args.ny)
     report = remainder_norms(
         p, args.eps2, args.orders, grid,
-        n_modes=args.modes, tol=args.tol, quad_points=args.quad_points,
+        n_modes=args.modes, quad_points=args.quad_points,
         estimate_fd_error=not args.no_fd_error_estimate, refine=args.refine,
     )
     meta = _meta(args)

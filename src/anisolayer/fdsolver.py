@@ -167,9 +167,9 @@ class _PreparedGrid:
 
     Samples phi0, phi1 and f once and folds the Dirichlet rows into the
     unscaled right-hand side ``f + (boundary rows) / dy^2``; ``solve`` then
-    runs the eps-dependent part for any eps^2.  ``sup_f`` is max|f| over all
-    of the grid's nodes, Dirichlet rows included, as the maximum principle
-    needs it.
+    runs the eps-dependent part for any eps^2.  The maximum principle reads
+    ``phi_max``, max(|phi0|, |phi1|) over the x-nodes, and ``sup_f``, max|f|
+    over all of the grid's nodes, Dirichlet rows included.
     """
 
     def __init__(self, p: ProblemSpec, grid: Grid2D):
@@ -180,6 +180,7 @@ class _PreparedGrid:
         self._inv_dy2 = 1.0 / grid.dy**2
         self.bottom = check_finite(p.phi0(xs), "phi0")
         self.top = check_finite(p.phi1(xs), "phi1")
+        self.phi_max = float(max(np.max(np.abs(self.bottom)), np.max(np.abs(self.top))))
         rhs = np.array(check_finite(p.f(xs[:, None], ys[None, 1:-1]), "f"))
         rows = np.asarray(p.f(xs[:, None], ys[None, [0, -1]]), dtype=float)
         # max|f| without an |f| temporary; np.max keeps a NaN on the rows
@@ -195,7 +196,7 @@ class _PreparedGrid:
         self._lam = 4.0 * self._inv_dy2 * np.sin(
             np.arange(1, grid.n_y) * (np.pi / (2 * grid.n_y))) ** 2
 
-    def solve(self, eps2: float, tol: float,
+    def solve(self, eps2: float, tol: float = DEFAULT_TOL,
               max_iter: int = DEFAULT_MAX_ITER) -> tuple[Field2D, SolveStats]:
         """The five-point solution for anisotropy eps^2 (see ``solve_fd``)."""
         if tol < 1e-14:

@@ -10,7 +10,8 @@ cosine transform in the package goes through the two kernels here:
 
 The second half of the module builds the stack of repeated x-antiderivatives
 F_0 = g, F_n(x, y) = integral_0^x F_{n-1}(z, y) dz of a zero-x-mean function
-g, which the second-order outer correction of the expansion is made of.
+g, the expansion-independent oracle of the matching-identity check
+(acceptance criterion 3); the expansion itself divides by (k pi)^2 instead.
 """
 
 from __future__ import annotations
@@ -66,9 +67,15 @@ def analyze(values, n_modes: int) -> np.ndarray:
     ``values`` holds g on the ``n + 1`` Simpson nodes ``unit_nodes(n)`` along
     axis 0 (n even); trailing axes are independent columns, so the result has
     shape ``(K,) + values.shape[1:]``.
+
+    Raises:
+        ValueError: K > n / 2, where mode k would alias onto mode n - k.
     """
     vals = np.asarray(values, dtype=float)
     n = vals.shape[0] - 1
+    if n_modes > n // 2:
+        raise ValueError(f"{n_modes} cosine modes need at least {2 * n_modes} quadrature "
+                         f"intervals, got {n}: mode k > {n // 2} aliases onto mode {n} - k")
     w = simpson_weights(n).reshape((-1,) + (1,) * (vals.ndim - 1))
     basis = np.cos(np.outer(mode_numbers(n_modes), np.pi * unit_nodes(n)))
     return 2.0 * np.tensordot(basis, w * vals, axes=1)

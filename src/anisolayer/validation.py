@@ -14,11 +14,11 @@ output rows (the y-nodes nest) and Richardson-extrapolated in y,
 of two with r >= k pi dy / eps_min, where k is the fastest mode whose layer
 amplitude the expansion keeps, so the fine cells resolve the shortest decay
 length in the sweep.  A mode counts as kept when its amplitude exceeds the
-solver tolerance times the solution's scale, the maximum-principle bound
-max|phi| + eps^2 sup|f| / 2; data without layers get r = 1, one solve on the
-output grid.  The fine grid is capped at MAX_REFERENCE_UNKNOWNS unknowns; a
-sweep that would need more is solved at the largest r that fits and all its
-cells are flagged.
+reference solve's tolerance, fdsolver.DEFAULT_TOL, times the solution's
+scale, the maximum-principle bound max|phi| + eps^2 sup|f| / 2; data without
+layers get r = 1, one solve on the output grid.  The fine grid is capped at
+MAX_REFERENCE_UNKNOWNS unknowns; a sweep that would need more is solved at
+the largest r that fits and all its cells are flagged.
 
 The sup norm runs over the rows the reference actually solves, 1..n_y - 1.
 On the Dirichlet rows the reference equals the data, so the difference there
@@ -108,7 +108,6 @@ class ErrorReport:
     max_principle: list
     grid: Grid2D
     n_modes: int
-    tol: float
     reference_grid: Grid2D
     refinement: int
     refinement_capped: bool
@@ -144,7 +143,7 @@ class ErrorReport:
                 "solves": self.reference_solves,
             },
             "n_modes": self.n_modes,
-            "solver_tol": self.tol,
+            "solver_tol": DEFAULT_TOL,
             "eps2": list(self.eps2),
             "fd_error_estimates": list(self.fd_error_estimates),
             "flagged": {f"r{2 * n}": list(self.flagged[n]) for n in self.orders},
@@ -186,22 +185,16 @@ def max_principle_check(u: Field2D, p: ProblemSpec) -> MaxPrincipleResult:
     Phi is the largest boundary-data magnitude and G = eps^2 sup|f|, both
     taken over the field's nodes.
     """
-    prepared = _PreparedGrid(p, u.grid)
-    return _max_principle(u, _phi_max(prepared), prepared.sup_f, p.eps**2)
+    return _max_principle(u, _PreparedGrid(p, u.grid), p.eps**2)
 
 
-def _phi_max(prepared: _PreparedGrid) -> float:
-    """Phi, the largest boundary-data magnitude on the grid's x-nodes."""
-    return float(max(np.max(np.abs(prepared.bottom)), np.max(np.abs(prepared.top))))
+def _bound(prepared: _PreparedGrid, eps2: float) -> float:
+    """Phi + G/2 with G = eps^2 sup|f| on the prepared grid (see max_principle_check)."""
+    return prepared.phi_max + 0.5 * float(eps2 * prepared.sup_f)
 
 
-def _bound(phi_max: float, sup_f: float, eps2: float) -> float:
-    """Phi + G/2 with G = eps^2 sup|f| (see max_principle_check)."""
-    return phi_max + 0.5 * float(eps2 * sup_f)
-
-
-def _max_principle(u: Field2D, phi_max: float, sup_f: float, eps2: float) -> MaxPrincipleResult:
-    return MaxPrincipleResult(bound=_bound(phi_max, sup_f, eps2),
+def _max_principle(u: Field2D, prepared: _PreparedGrid, eps2: float) -> MaxPrincipleResult:
+    return MaxPrincipleResult(bound=_bound(prepared, eps2),
                               max_abs=float(np.max(np.abs(u.values))))
 
 
@@ -256,19 +249,18 @@ def _self_convergence(fine: np.ndarray, coarse: np.ndarray) -> float:
 
 
 def _layer_refinement(approxes: Sequence[list], eps_values: Sequence[float],
-                      bounds: Sequence[float], grid: Grid2D, tol: float) -> int:
+                      bounds: Sequence[float], grid: Grid2D) -> int:
     """Smallest power of two r with r >= k pi dy / eps_min.
 
     ``approxes[i]`` holds the composites at ``eps_values[i]``, whose
     maximum-principle bound on ``grid`` is ``bounds[i]``.  k is the fastest
-    mode whose bottom or top layer amplitude, in any of them, exceeds ``tol``
-    times that bound; a smaller amplitude lies below the reference solve's
-    own accuracy.  A sweep without such a mode has no layer to resolve and
-    gets r = 1.
+    mode whose bottom or top layer amplitude, in any of them, exceeds
+    ``DEFAULT_TOL`` times that bound; a smaller one lies below the solve's
+    accuracy.  A sweep without such a mode has no layer to resolve: r = 1.
     """
     fastest = 0
     for bound, row in zip(bounds, approxes):
-        floor = tol * bound
+        floor = DEFAULT_TOL * bound
         for approx in row:
             bottom, top = approx.layer_amplitudes()
             live = np.flatnonzero(np.maximum(np.abs(bottom), np.abs(top)) > floor)
@@ -301,7 +293,7 @@ def _solve_record(field: Field2D, stats: SolveStats) -> dict:
 
 
 def _single_solve_references(p: ProblemSpec, prepared: _PreparedGrid, eps_sq: Sequence[float],
-                             phi_max: float, tol: float, estimate: bool):
+                             estimate: bool):
     """Yield ``(values, max_principle, error_estimate, solves)`` per eps^2 for r = 1.
 
     One solve on the output grid and, with ``estimate``, one on its half
@@ -309,19 +301,19 @@ def _single_solve_references(p: ProblemSpec, prepared: _PreparedGrid, eps_sq: Se
     """
     half = _PreparedGrid(p, _half_grid(prepared.grid)) if estimate else None
     for eps2 in eps_sq:
-        field, stats = prepared.solve(eps2, tol=tol)
+        field, stats = prepared.solve(eps2)
         est = None
         if half is not None:
-            coarse, _ = half.solve(eps2, tol=tol)
+            coarse, _ = half.solve(eps2)
             est = _self_convergence(field.values, coarse.values)
             del coarse
-        yield (field.values, _max_principle(field, phi_max, prepared.sup_f, eps2), est,
+        yield (field.values, _max_principle(field, prepared, eps2), est,
                [_solve_record(field, stats)])
         del field  # before the next solve
 
 
 def _refined_references(p: ProblemSpec, grid: Grid2D, r: int, eps_sq: Sequence[float],
-                        phi_max: float, tol: float, estimate: bool):
+                        estimate: bool):
     """Yield ``(values, max_principle, error_estimate, solves)`` per eps^2 for r > 1.
 
     The values are the y-Richardson extrapolation of the levels r and r/2
@@ -345,10 +337,10 @@ def _refined_references(p: ProblemSpec, grid: Grid2D, r: int, eps_sq: Sequence[f
         prepared = _PreparedGrid(p, Grid2D(n_x=n_x, n_y=grid.n_y * level))
         kept = []
         for i, eps2 in enumerate(eps_sq):
-            field, stats = prepared.solve(eps2, tol=tol)
+            field, stats = prepared.solve(eps2)
             kept.append(field.values[:, ::level].copy())
             if level == r:
-                mp.append(_max_principle(field, phi_max, prepared.sup_f, eps2))
+                mp.append(_max_principle(field, prepared, eps2))
             if n_x == grid.n_x and level >= r // 2:
                 solves[i].append(_solve_record(field, stats))
             del field
@@ -373,7 +365,7 @@ def _refined_references(p: ProblemSpec, grid: Grid2D, r: int, eps_sq: Sequence[f
 
 
 def remainder_norms(p: ProblemSpec, eps2_list: Sequence[float], orders: Sequence[int],
-                    grid: Grid2D, n_modes: int = DEFAULT_MODES, tol: float = DEFAULT_TOL,
+                    grid: Grid2D, n_modes: int = DEFAULT_MODES,
                     quad_points: int = DEFAULT_QUAD_POINTS,
                     estimate_fd_error: bool = True,
                     refine: Literal[1, "auto"] = "auto") -> ErrorReport:
@@ -382,13 +374,14 @@ def remainder_norms(p: ProblemSpec, eps2_list: Sequence[float], orders: Sequence
     One reference per eps^2 serves all orders; r is its y-refinement factor.
     ``refine="auto"`` (the default) takes one r per sweep, the smallest power
     of two with r >= k pi dy / eps_min, where k is the fastest mode whose
-    layer amplitude the expansion keeps above ``tol`` times the solution's
-    maximum-principle bound (r = 1 for data without layers).  ``refine=1``
-    always takes r = 1.  With r = 1 the reference is a single solve on
-    ``grid``; with r > 1 it is the y-Richardson extrapolation of solves with
-    r and r/2 times the y-cells, sampled at the output rows.  The fine grid
-    is capped at MAX_REFERENCE_UNKNOWNS unknowns: past the cap r is halved
-    until it fits and every cell is flagged.
+    layer amplitude the expansion keeps above ``DEFAULT_TOL``, the solve
+    tolerance, times the solution's maximum-principle bound (r = 1 for data
+    without layers).  ``refine=1`` always takes r = 1.  With r = 1 the
+    reference is a single solve on ``grid``; with r > 1 it is the
+    y-Richardson extrapolation of solves with r and r/2 times the y-cells,
+    sampled at the output rows.  The fine grid is capped at
+    MAX_REFERENCE_UNKNOWNS unknowns: past the cap r is halved until it fits
+    and every cell is flagged.
 
     The norms run over the solved rows 1..n_y - 1; the Dirichlet rows, where
     the reference equals the data, are reported as ``dirichlet_errors``.
@@ -444,21 +437,19 @@ def remainder_norms(p: ProblemSpec, eps2_list: Sequence[float], orders: Sequence
     approxes = [[ExpansionResult(base, e, n) for n in orders] for e in eps_values]
     raw = base.force_coeffs(ys)
     prepared = _PreparedGrid(p, grid)
-    phi_max = _phi_max(prepared)
     wanted = 1
     if refine == "auto":
-        bounds = [_bound(phi_max, prepared.sup_f, e2) for e2 in eps_sq]
-        wanted = _layer_refinement(approxes, eps_values, bounds, grid, tol)
+        bounds = [_bound(prepared, e2) for e2 in eps_sq]
+        wanted = _layer_refinement(approxes, eps_values, bounds, grid)
     r = wanted
     while r > 1 and grid.n_x * (grid.n_y * r - 1) > MAX_REFERENCE_UNKNOWNS:
         r //= 2
     capped = r < wanted
     if r == 1:
-        references = _single_solve_references(p, prepared, eps_sq, phi_max, tol,
-                                              estimate_fd_error)
+        references = _single_solve_references(p, prepared, eps_sq, estimate_fd_error)
     else:
         del prepared
-        references = _refined_references(p, grid, r, eps_sq, phi_max, tol, estimate_fd_error)
+        references = _refined_references(p, grid, r, eps_sq, estimate_fd_error)
 
     norms = {n: [] for n in orders}
     dirichlet = {n: [] for n in orders}
@@ -494,7 +485,6 @@ def remainder_norms(p: ProblemSpec, eps2_list: Sequence[float], orders: Sequence
         max_principle=mp_results,
         grid=grid,
         n_modes=n_modes,
-        tol=tol,
         reference_grid=Grid2D(n_x=grid.n_x, n_y=grid.n_y * r),
         refinement=r,
         refinement_capped=capped,

@@ -15,6 +15,7 @@ from anisolayer import (
 )
 from anisolayer.cli import run
 import anisolayer.cli as cli_module
+from anisolayer.fdsolver import DEFAULT_TOL
 
 
 def test_check_paper_passes(capsys):
@@ -101,6 +102,10 @@ def test_convergence_writes_table_and_sidecar(tmp_path):
     assert "slopes" in sidecar and "r0" in sidecar["slopes"]
     assert sidecar["grid"] == {"n_x": 8, "n_y": 32}
     assert sidecar["meta"]["problem"] == "no-layer"
+    # the sweep's reference solves always run at the library tolerance
+    assert sidecar["solver_tol"] == DEFAULT_TOL
+    assert "tol" not in sidecar["meta"]
+    assert not any(ln.startswith("# tol:") for ln in lines)
 
 
 def _table_norms(path):
@@ -362,6 +367,8 @@ _BAD_VALUE_CASES = {
     "convergence-orders-repeated": ["convergence", "--problem", "paper",
                                     "--eps2", "0.01,0.05,0.1", "--orders", "0,0",
                                     "--nx", "8", "--ny", "8", "--out", "table.csv"],
+    "convergence-tol": ["convergence", "--problem", "paper", "--eps2", "0.01,0.05,0.1",
+                        "--nx", "8", "--ny", "8", "--tol", "1e-6", "--out", "table.csv"],
 }
 
 
@@ -376,6 +383,17 @@ def test_bad_values_are_usage_errors_before_computing(argv, tmp_path, monkeypatc
     err = capsys.readouterr().err
     assert err and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("modes,code", [("8", 0), ("9", 1), ("2000", 1)])
+def test_expand_modes_past_half_the_quadrature_intervals(modes, code, tmp_path, capsys):
+    # 16 Simpson intervals resolve cosine modes up to 8; mode k > 8 would alias
+    out = tmp_path / "u0.csv"
+    assert run(["expand", "--problem", "paper", "--eps2", "0.05", "--nx", "4", "--ny", "4",
+                "--modes", modes, "--quad-points", "16", "--out", str(out)]) == code
+    if code:
+        _assert_one_line_usage_error(code, capsys, "expand", "aliases")
+    assert out.exists() == (code == 0)
 
 
 def test_convergence_sidecar_directory_is_usage_error(tmp_path, monkeypatch, capsys):

@@ -112,7 +112,8 @@ def _outer_term2(p, quad_points):
 
 class TestOuterTerm2:
     def test_zero_force(self):
-        u2 = _outer_term2(builtin_problem("zero"), quad_points=64)
+        # 64 modes need 128 quadrature intervals (spectral.analyze)
+        u2 = _outer_term2(builtin_problem("zero"), quad_points=128)
         xs = np.linspace(0, 1, 9)
         assert np.allclose(u2(xs, 0.5), 0.0, atol=1e-14)
 
@@ -196,6 +197,14 @@ class TestComposite:
         total = u.mean_part(xg, yg) + u.outer_part(xg, yg) \
             + u.bottom_layer(xg, yg) + u.top_layer(xg, yg)
         assert np.array_equal(u(xg, yg), total)
+
+    @pytest.mark.parametrize("quad_points", [16, 64])
+    def test_modes_past_half_the_quadrature_intervals_rejected(self, quad_points):
+        p = builtin_problem("paper", eps=0.2)
+        half = quad_points // 2
+        assert composite(p, order=1, n_modes=half, quad_points=quad_points).n_modes == half
+        with pytest.raises(ValueError, match="aliases"):
+            composite(p, order=1, n_modes=half + 1, quad_points=quad_points)
 
     def test_grid_and_pointwise_paths_agree(self):
         p = builtin_problem("paper", eps=0.25)

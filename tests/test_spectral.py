@@ -47,6 +47,16 @@ class TestCosineCoeffs:
         for k, ck in QUARTIC_COEFFS.items():
             assert s.coeffs[k - 1] == pytest.approx(ck, abs=1e-9)
 
+    @pytest.mark.parametrize("quad_points", [16, 64])
+    def test_modes_past_half_the_quadrature_intervals_rejected(self, quad_points):
+        # on n intervals cos(k pi x) samples like cos((n - k) pi x): with
+        # n = 16, cos(3 pi x) would come back with a spurious c_13
+        g = lambda x: np.cos(3 * np.pi * x)
+        half = quad_points // 2
+        assert cosine_coeffs(g, n_modes=half, quad_points=quad_points).n_modes == half
+        with pytest.raises(ValueError, match="aliases"):
+            cosine_coeffs(g, n_modes=half + 1, quad_points=quad_points)
+
     def test_rejects_nonzero_mean(self):
         with pytest.raises(NotZeroMean):
             cosine_coeffs(lambda x: np.ones_like(x), n_modes=4)

@@ -107,6 +107,13 @@ class TestMatchingIdentity:
                                      quad_points=256)
         assert matching_identity_check(d, zero, n_modes=8) > 1e-2
 
+    def test_modes_past_half_the_stack_intervals_rejected(self):
+        d = decompose(builtin_problem("paper"), quad_points=64)
+        stack = build_antiderivatives(d, quad_points=64)
+        assert matching_identity_check(d, stack, n_modes=32) >= 0.0
+        with pytest.raises(ValueError, match="aliases"):
+            matching_identity_check(d, stack, n_modes=33)
+
     @pytest.mark.parametrize("n_modes,y_samples", [(0, None), (-1, None), (4, [])])
     def test_empty_check_rejected(self, n_modes, y_samples):
         d = decompose(builtin_problem("paper"), quad_points=64)
