@@ -28,11 +28,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import CubicSpline
 from scipy.linalg import solveh_banded
 
-from ._quad import check_finite, require_even, simpson_weights, unit_nodes
+from ._quad import (check_finite, cumulative_simpson, hermite, require_even,
+                    simpson_weights, unit_nodes)
 from .errors import MissingDerivatives
 from .problem import DEFAULT_QUAD_POINTS, DecomposedProblem, ProblemSpec, decompose
 from .spectral import (
@@ -51,41 +50,43 @@ EPS_MAX = 1.0
 _Y_BLOCK = 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeanSolution:
     """Closed-form solution of -ubar'' = fbar with Dirichlet means at the ends.
 
     ubar(y) = y (I - phibar0 + phibar1) - H(y) + phibar0, where
-    H(y) = integral_0^y integral_0^z fbar(t) dt dz and I = H(1).  H is
-    tabulated by nested cumulative Simpson and interpolated by a cubic
-    spline, which is exact at grid nodes and fourth-order in between.
+    H(y) = integral_0^y integral_0^z fbar(t) dt dz and I = H(1).  H and its
+    derivative, the inner integral, are tabulated by nested cumulative
+    Simpson on the Simpson nodes; H is read between them by the cubic
+    Hermite interpolant of the two tables, which is exact at the nodes and
+    fourth-order in between.
     """
 
     phibar0: float
     phibar1: float
     double_integral: float
-    _spline: CubicSpline
+    _outer: np.ndarray
+    _inner: np.ndarray
 
     def __call__(self, y):
         y_arr = np.asarray(y, dtype=float)
         out = (y_arr * (self.double_integral - self.phibar0 + self.phibar1)
-               - self._spline(y_arr) + self.phibar0)
+               - hermite(self._outer, self._inner, y_arr) + self.phibar0)
         return out if y_arr.ndim else float(out)
 
 
 def mean_solution(d: DecomposedProblem,
                   quad_points: int = DEFAULT_QUAD_POINTS) -> MeanSolution:
     """Build the mean profile from the closed-form double integral."""
-    n = require_even(quad_points)
-    yq = unit_nodes(n)
-    fbar_vals = check_finite(d.fbar(yq), "fbar")
-    inner = cumulative_simpson(fbar_vals, x=yq, initial=0.0)
-    outer = cumulative_simpson(inner, x=yq, initial=0.0)
+    yq = unit_nodes(quad_points)
+    inner = cumulative_simpson(check_finite(d.fbar(yq), "fbar"))
+    outer = cumulative_simpson(inner)
     return MeanSolution(
         phibar0=d.phibar0,
         phibar1=d.phibar1,
         double_integral=float(outer[-1]),
-        _spline=CubicSpline(yq, outer),
+        _outer=outer,
+        _inner=inner,
     )
 
 

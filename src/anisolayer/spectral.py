@@ -12,6 +12,9 @@ The second half of the module builds the stack of repeated x-antiderivatives
 F_0 = g, F_n(x, y) = integral_0^x F_{n-1}(z, y) dz of a zero-x-mean function
 g, the expansion-independent oracle of the matching-identity check
 (acceptance criterion 3); the expansion itself divides by (k pi)^2 instead.
+The stack tabulates each F_n by cumulative Simpson on the Simpson nodes and
+reads it between them by cubic Hermite interpolation from its own derivative
+table F_{n-1} (``_quad``), never through the cosine series.
 """
 
 from __future__ import annotations
@@ -19,10 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import CubicSpline
 
-from ._quad import check_finite, require_even, simpson_weights, unit_nodes
+from ._quad import (check_finite, cumulative_simpson, hermite, require_even,
+                    simpson_weights, unit_nodes)
 from .errors import IntegralConditionViolated, NotZeroMean
 from .problem import DEFAULT_QUAD_POINTS, DecomposedProblem
 
@@ -129,6 +131,9 @@ class AntiderivativeStack:
     computed by cumulative Simpson on a fixed x-grid for each requested y.
     Because ftilde has zero x-mean, F_1(1, y) must vanish; every column is
     checked and the stack refuses to proceed when the condition fails.
+    Between the grid nodes F_n, n >= 1, is the cubic Hermite interpolant of
+    the F_n column with the F_{n-1} column as its slopes, fourth-order
+    accurate; F_0 is ftilde itself.
     """
 
     ftilde: object
@@ -147,22 +152,25 @@ class AntiderivativeStack:
         """(F_0, F_1, F_2, F_3) at y, sampled on ``x_grid``."""
         y = float(y)
         f0 = check_finite(self.ftilde(self._x, y), "ftilde")
-        f1 = cumulative_simpson(f0, x=self._x, initial=0.0)
+        f1 = cumulative_simpson(f0)
         if abs(f1[-1]) > INTEGRAL_CONDITION_TOL:
             raise IntegralConditionViolated(
                 f"F_1(1, y={y:g}) = {f1[-1]:.3e} exceeds {INTEGRAL_CONDITION_TOL:g}; "
                 "the force fluctuation does not integrate to zero over x"
             )
-        f2 = cumulative_simpson(f1, x=self._x, initial=0.0)
-        f3 = cumulative_simpson(f2, x=self._x, initial=0.0)
+        f2 = cumulative_simpson(f1)
+        f3 = cumulative_simpson(f2)
         return f0, f1, f2, f3
 
     def eval(self, n: int, x, y: float):
         """F_n(x, y) for n in 0..3; x scalar or array, y scalar."""
         if not 0 <= n <= 3:
             raise ValueError(f"antiderivative order must be 0..3, got {n}")
-        out = CubicSpline(self._x, self.columns(y)[n])(np.asarray(x, dtype=float))
-        return out if np.ndim(x) else float(out)
+        if n == 0:
+            out = self.ftilde(np.asarray(x, dtype=float), float(y))
+            return out if np.ndim(out) else float(out)
+        cols = self.columns(y)
+        return hermite(cols[n], cols[n - 1], x)
 
 
 def build_antiderivatives(d: DecomposedProblem,

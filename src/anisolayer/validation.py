@@ -97,7 +97,13 @@ class MaxPrincipleResult:
 
 @dataclass
 class ErrorReport:
-    """Per-eps^2 remainder norms with order fits and pollution flags."""
+    """Per-eps^2 remainder norms with order fits and pollution flags.
+
+    ``argmax[n][i]`` is the node ``[x, y]`` where the norm of order n at the
+    i-th eps^2 is reached.  ``tail_magnitudes`` holds |c_K| of the bottom
+    and top boundary-data series and, per correction m = 1..max(orders), the
+    largest |c_K| of the m-th force source's series over the output rows.
+    """
 
     eps2: list
     orders: list
@@ -113,6 +119,8 @@ class ErrorReport:
     refinement_capped: bool
     dirichlet_errors: dict
     reference_solves: list
+    argmax: dict
+    tail_magnitudes: dict
 
     def write_csv(self, stream: IO[str], metadata: dict | None = None) -> None:
         """Rows ``eps2,r0,r2,...`` with '#'-prefixed metadata lines on top."""
@@ -149,6 +157,8 @@ class ErrorReport:
             "flagged": {f"r{2 * n}": list(self.flagged[n]) for n in self.orders},
             "dirichlet_row_errors": {f"r{2 * n}": list(self.dirichlet_errors[n])
                                      for n in self.orders},
+            "argmax": {f"r{2 * n}": list(self.argmax[n]) for n in self.orders},
+            "tail_magnitudes": self.tail_magnitudes,
             "max_principle": [
                 {"bound": r.bound, "max_abs": r.max_abs, "passed": r.passed}
                 for r in self.max_principle
@@ -390,7 +400,9 @@ def remainder_norms(p: ProblemSpec, eps2_list: Sequence[float], orders: Sequence
     ``fd_error_estimates`` estimate the error of the reference actually used,
     in x and y (see the module docstring), or are None without
     ``estimate_fd_error``, and ``flagged`` marks each cell whose estimate
-    exceeds a tenth of its norm.  ``reference_solves`` lists,
+    exceeds a tenth of its norm.  ``argmax`` holds the node where each norm
+    is reached and ``tail_magnitudes`` the |c_K| of the boundary and force
+    series (``ErrorReport``).  ``reference_solves`` lists,
     per eps^2, the grid, transform-solve count, relative residual and
     residual floor of each solve the reference values come from.  Slopes
     come from a least-squares fit across the eps^2 values, which therefore
@@ -453,6 +465,7 @@ def remainder_norms(p: ProblemSpec, eps2_list: Sequence[float], orders: Sequence
 
     norms = {n: [] for n in orders}
     dirichlet = {n: [] for n in orders}
+    argmax = {n: [] for n in orders}
     estimates = []
     mp_results = []
     solves = []
@@ -464,8 +477,13 @@ def remainder_norms(p: ProblemSpec, eps2_list: Sequence[float], orders: Sequence
         solves.append(eps_solves)
         for n, approx in zip(orders, row):
             diff = np.abs(ref - approx._grid_values(xs, ys, raw))
-            norms[n].append(float(np.max(diff[:, 1:-1])))
             dirichlet[n].append(float(max(np.max(diff[:, 0]), np.max(diff[:, -1]))))
+            # below every |difference|, the Dirichlet rows drop out of the
+            # argmax, which then runs over the contiguous array, not a copy
+            diff[:, 0] = diff[:, -1] = -1.0
+            i, j = np.unravel_index(np.argmax(diff), diff.shape)
+            norms[n].append(float(diff[i, j]))
+            argmax[n].append([float(xs[i]), float(ys[j])])
             del diff
         del ref  # before the next solve
 
@@ -490,4 +508,10 @@ def remainder_norms(p: ProblemSpec, eps2_list: Sequence[float], orders: Sequence
         refinement_capped=capped,
         dirichlet_errors=dirichlet,
         reference_solves=solves,
+        argmax=argmax,
+        tail_magnitudes={
+            "bottom": base.bottom_series.tail_magnitude,
+            "top": base.top_series.tail_magnitude,
+            "force": [float(np.max(np.abs(c[-1]))) for c in raw],
+        },
     )

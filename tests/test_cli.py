@@ -108,6 +108,39 @@ def test_convergence_writes_table_and_sidecar(tmp_path):
     assert not any(ln.startswith("# tol:") for ln in lines)
 
 
+def test_convergence_sidecar_locates_norms_and_series_tails(tmp_path):
+    out = tmp_path / "table.csv"
+    code = run(["convergence", "--problem", "paper", "--eps2", "0.02,0.05,0.1",
+                "--nx", "16", "--ny", "16", "--modes", "8", "--quad-points", "64",
+                "--no-fd-error-estimate", "--out", str(out)])
+    assert code == 0
+    sidecar = json.loads((tmp_path / "table.json").read_text())
+    grid = Grid2D(16, 16)
+    for name in ("r0", "r2"):
+        assert len(sidecar["argmax"][name]) == 3
+        for x, y in sidecar["argmax"][name]:
+            assert x in grid.x_nodes() and y in grid.y_nodes()[1:-1]
+    tails = sidecar["tail_magnitudes"]
+    assert set(tails) == {"bottom", "top", "force"}
+    assert len(tails["force"]) == 1 and tails["force"][0] > 0.0
+    assert "tail" not in out.read_text()
+
+
+def test_field_csv_metadata_is_the_flag_echo(tmp_path):
+    # diagnostics go to the convergence sidecar; the field CSVs carry only
+    # the tool version and the flags
+    for command in ("fd", "expand"):
+        out = tmp_path / f"{command}.csv"
+        assert run([command, "--problem", "paper", "--eps2", "0.05",
+                    "--nx", "4", "--ny", "4", "--out", str(out)]) == 0
+        keys = [ln[2:].split(":")[0] for ln in out.read_text().splitlines()
+                if ln.startswith("#")]
+        flags = vars(cli_module.build_parser().parse_args([command, "--problem", "paper",
+                                                           "--eps2", "0.05", "--nx", "4",
+                                                           "--ny", "4", "--out", str(out)]))
+        assert keys == ["tool", "command"] + sorted(set(flags) - {"command", "out"})
+
+
 def _table_norms(path):
     data = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
     return [[float(c) for c in ln.split(",")[1:]] for ln in data[1:]]

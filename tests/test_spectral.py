@@ -142,6 +142,21 @@ class TestAntiderivatives:
             assert np.allclose(f2, expected, atol=1e-9)
             assert stack.eval(3, 1.0, y) == pytest.approx(g(y) / np.pi**2, abs=1e-9)
 
+    def test_between_nodes_and_order_zero(self):
+        # F_1 = sin(pi x)/pi between the 256-cell grid's nodes, read from its
+        # F_0 slopes (Hermite error h^4 pi^3 / 384 = 2e-11); F_0 is ftilde
+        # itself, not an interpolant
+        p = builtin_problem("zero").with_eps(0.1)
+        d = decompose(p)
+        ftilde = lambda x, y: np.cos(np.pi * x) + 0.0 * y
+        d = type(d)(fbar=d.fbar, ftilde=ftilde, phibar0=0.0, phibar1=0.0,
+                    phitilde0=d.phitilde0, phitilde1=d.phitilde1, quad_points=d.quad_points)
+        stack = build_antiderivatives(d, quad_points=256)
+        xs = (np.arange(100) + 0.37) / 100
+        assert np.max(np.abs(stack.eval(1, xs, 0.5) - np.sin(np.pi * xs) / np.pi)) < 1e-9
+        assert np.array_equal(stack.eval(0, xs, 0.5), ftilde(xs, 0.5))
+        assert stack.eval(0, 0.25, 0.5) == ftilde(0.25, 0.5)
+
     def test_zero_force_gives_zero_stack(self):
         p = builtin_problem("zero")
         stack = build_antiderivatives(decompose(p, quad_points=64), quad_points=64)

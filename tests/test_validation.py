@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 import anisolayer.validation as validation
+from anisolayer._quad import simpson_weights, unit_nodes
 from anisolayer import (
     Grid2D,
     InsufficientPoints,
     NonPositiveNorm,
     builtin_problem,
     build_antiderivatives,
+    cosine_coeffs,
     decompose,
     fd_self_convergence_estimate,
     fit_order,
@@ -224,6 +226,47 @@ class TestRemainderNorms:
                               - approx.evaluate_grid(xs, [0.0, 1.0]))
                 assert report.dirichlet_errors[n][i] == pytest.approx(np.max(data), abs=1e-15)
             assert report.fd_error_estimates[i] == fd_self_convergence_estimate(p_eps, field)
+
+    def test_argmax_is_where_each_norm_is_reached(self):
+        p = builtin_problem("paper")
+        eps2 = [0.05, 0.1, 0.2]
+        grid = Grid2D(16, 64)
+        report = remainder_norms(p, eps2, [0, 1], grid, n_modes=8, quad_points=64,
+                                 refine=1, estimate_fd_error=False)
+        xs, ys = grid.x_nodes(), grid.y_nodes()
+        for i, e2 in enumerate(eps2):
+            p_eps = p.with_eps(float(np.sqrt(e2)))
+            field, _ = solve_fd(p_eps, grid)
+            for n in (0, 1):
+                approx = composite(p_eps, order=n, n_modes=8, quad_points=64)
+                diff = np.abs(field.values - approx.evaluate_grid(xs, ys))
+                x_star, y_star = report.argmax[n][i]
+                (ix,), (iy,) = np.flatnonzero(xs == x_star), np.flatnonzero(ys == y_star)
+                assert 1 <= iy <= grid.n_y - 1
+                assert diff[ix, iy] == report.norms[n][i] == np.max(diff[:, 1:-1])
+        sidecar = json.loads(json.dumps(report.sidecar_dict(), allow_nan=False))
+        assert sidecar["argmax"] == {f"r{2 * n}": report.argmax[n] for n in (0, 1)}
+
+    def test_tail_magnitudes_of_boundary_and_force_series(self):
+        p = builtin_problem("paper")
+        grid = Grid2D(16, 32)
+        report = remainder_norms(p, [0.05, 0.1, 0.2], [0, 1, 2], grid, n_modes=8,
+                                 quad_points=64, refine=1, estimate_fd_error=False)
+        tails = report.tail_magnitudes
+        d = decompose(p, quad_points=64)
+        assert tails["bottom"] == cosine_coeffs(d.phitilde0, 8, 64).tail_magnitude
+        assert tails["top"] == cosine_coeffs(d.phitilde1, 8, 64).tail_magnitude
+        # one entry per correction order: f, then its second y-derivative
+        assert len(tails["force"]) == 2
+        for tail, source in zip(tails["force"], (p.f, p.f_y_derivs[1])):
+            worst = 0.0
+            for y in grid.y_nodes():
+                g = lambda x: source(x, y)
+                mean = simpson_weights(64) @ g(unit_nodes(64))
+                series = cosine_coeffs(lambda x: g(x) - mean, 8, 64)
+                worst = max(worst, series.tail_magnitude)
+            assert tail == pytest.approx(worst, rel=1e-9, abs=1e-15)
+        assert report.sidecar_dict()["tail_magnitudes"] == tails
 
     def test_under_resolved_grid_gets_accurate_reference(self):
         # dy = 1/32 is far too coarse for layers of width eps ~ 0.14
