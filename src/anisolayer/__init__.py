@@ -29,7 +29,6 @@ from .expansion import (
     LayerTerm,
     MeanSolution,
     composite,
-    layer_term,
     mean_solution,
     mean_solution_bvp,
 )
@@ -51,7 +50,6 @@ from .spectral import (
     analyze,
     build_antiderivatives,
     cosine_coeffs,
-    eval_series,
     synthesize,
 )
 from .validation import (
@@ -103,10 +101,8 @@ __all__ = [
     "cosine_coeffs",
     "decompose",
     "estimate_point",
-    "eval_series",
     "fd_self_convergence_estimate",
     "fit_order",
-    "layer_term",
     "linf_distance",
     "matching_identity_check",
     "max_principle_check",

@@ -134,11 +134,6 @@ class LayerTerm:
         if not self.eps > 0.0:
             raise ValueError("eps must be positive")
 
-    @property
-    def decay_rates(self) -> np.ndarray:
-        """Decay rate k pi per mode in the stretched coordinate."""
-        return np.pi * mode_numbers(self.series.n_modes)
-
     def coeffs(self, y) -> np.ndarray:
         """Damped coefficients c_k e^{-k pi s/eps}, shape (K,) + y.shape."""
         y_arr = np.asarray(y, dtype=float)
@@ -151,11 +146,6 @@ class LayerTerm:
     def __call__(self, x, y):
         """The layer at (x, y); x and y broadcast elementwise."""
         return synthesize(self.coeffs(y), x)
-
-
-def layer_term(series: CosineSeries, side: str, eps: float) -> LayerTerm:
-    """Wrap a data series as a decaying boundary-layer evaluator."""
-    return LayerTerm(side=side, series=series, eps=eps)
 
 
 class _ExpansionBase:
@@ -211,12 +201,11 @@ class _ExpansionBase:
 class ExpansionResult:
     """Evaluable composite approximation u[2n] with its constituent parts.
 
-    The evaluator is, by construction, the exact sum of four component
-    evaluators: ``mean_part`` (the y-only profile), ``outer_part`` (the even
-    outer corrections, identically zero at order 0), ``bottom_layer`` and
-    ``top_layer`` (``LayerTerm``s over the layer amplitudes).  Evaluation is
-    vectorized; ``evaluate_grid`` fills a full tensor grid with one cosine
-    synthesis of the summed coefficients.
+    Every value is the mean profile plus one cosine synthesis of the summed
+    coefficients (``_coeffs``) of the even outer corrections (``outer_part``,
+    identically zero at order 0) and of the ``bottom_layer`` and
+    ``top_layer`` (``LayerTerm``s over the layer amplitudes).  ``__call__``
+    broadcasts x and y elementwise; ``evaluate_grid`` fills a tensor grid.
     """
 
     def __init__(self, base: _ExpansionBase, eps: float, order: int):
@@ -234,50 +223,46 @@ class ExpansionResult:
                             for m in range(1, self.order + 1)]
 
         # each layer cancels the outer corrections on its own Dirichlet side
-        ends = self._outer_from(base.end_coeffs, 2)
+        ends = self._outer_from(base.end_coeffs, (2,))
         bottom_amp = self.bottom_series.coeffs - ends[:, 0]
         top_amp = self.top_series.coeffs - ends[:, 1]
         self.bottom_layer = LayerTerm("bottom", CosineSeries(bottom_amp), self.eps)
         self.top_layer = LayerTerm("top", CosineSeries(top_amp), self.eps)
 
-    def _outer_from(self, raw: list, n_points: int) -> np.ndarray:
-        """Cosine coefficients, shape (K, n_points), of the even outer
-        corrections from the raw force coefficients ``raw`` at n_points y
-        (``_ExpansionBase.force_coeffs``).
+    def _outer_from(self, raw: list, shape: tuple) -> np.ndarray:
+        """Cosine coefficients, shape (K,) + ``shape``, of the even outer
+        corrections from the raw force coefficients ``raw`` at y of that
+        shape (``_ExpansionBase.force_coeffs``).
 
         The m-th correction is eps^{2m} / (k pi)^{2m} times the coefficients
         of the (2m-2)-nd y-derivative of ftilde.
         """
-        c = np.zeros((self.n_modes, n_points))
+        c = np.zeros((self.n_modes, int(np.prod(shape))))
         for prefactor, coeffs in zip(self._prefactors, raw):
             c += prefactor[:, None] * coeffs
-        return c
+        return c.reshape((self.n_modes,) + tuple(shape))
 
-    def _outer_coeffs(self, y) -> np.ndarray:
-        """Cosine coefficients of the even outer corrections, shape (K,) + y.shape."""
+    def _coeffs(self, y, raw: list) -> np.ndarray:
+        """Summed cosine coefficients of the outer corrections and both
+        layers at y, shape (K,) + y.shape, from the raw force coefficients
+        ``raw`` at y (``_ExpansionBase.force_coeffs``)."""
         y = np.asarray(y, dtype=float)
-        c = self._outer_from(self._base.force_coeffs(y, self.order), y.size)
-        return c.reshape((self.n_modes,) + y.shape)
+        return (self._outer_from(raw, y.shape) + self.bottom_layer.coeffs(y)
+                + self.top_layer.coeffs(y))
 
     def layer_amplitudes(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-mode amplitudes (k = 1..K) of the bottom and top layers."""
         return self.bottom_layer.series.coeffs.copy(), self.top_layer.series.coeffs.copy()
 
-    def mean_part(self, x, y):
-        """Mean profile, broadcast over x."""
-        m = np.asarray(self.mean(y), dtype=float)
-        shape = np.broadcast_shapes(np.shape(x), m.shape)
-        out = np.broadcast_to(m, shape)
-        return out.copy() if out.ndim else float(out)
-
     def outer_part(self, x, y):
         """Even outer corrections; identically zero at order 0."""
-        return synthesize(self._outer_coeffs(y), x)
+        y = np.asarray(y, dtype=float)
+        return synthesize(self._outer_from(self._base.force_coeffs(y, self.order), y.shape), x)
 
     def __call__(self, x, y):
         """u[2n](x, y); x and y broadcast elementwise."""
-        return (self.mean_part(x, y) + self.outer_part(x, y)
-                + self.bottom_layer(x, y) + self.top_layer(x, y))
+        return self.mean(y) + synthesize(
+            self._coeffs(y, self._base.force_coeffs(y, self.order)), x)
 
     def evaluate_grid(self, xs, ys) -> np.ndarray:
         """Values on the tensor grid, shape (len(xs), len(ys))."""
@@ -288,9 +273,7 @@ class ExpansionResult:
         (``_ExpansionBase.force_coeffs``), which all eps may share."""
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
-        coeffs = (self._outer_from(raw, ys.size) + self.bottom_layer.coeffs(ys)
-                  + self.top_layer.coeffs(ys))
-        return self.mean(ys)[None, :] + synthesize(coeffs, xs[:, None])
+        return self.mean(ys)[None, :] + synthesize(self._coeffs(ys, raw), xs[:, None])
 
 
 def composite(p: ProblemSpec, order: int = 0, n_modes: int = DEFAULT_MODES,

@@ -293,10 +293,10 @@ def _norm(a: np.ndarray) -> float:
 def linf_distance(field: Field2D, other: Union[Field2D, Callable]) -> float:
     """Discrete sup-norm distance between a field and a field or evaluable.
 
-    Evaluables are sampled at the field's nodes; anything exposing an
-    ``evaluate_grid(xs, ys)`` tensor-grid method (such as an expansion
-    result) is evaluated through it, plain callables via broadcasting.
-    Fields must share the grid.
+    Evaluables are called once on the field's nodes, as
+    ``other(xs[:, None], ys[None, :])``; an expansion result so samples its
+    force once per y, as its ``evaluate_grid`` does.  Fields must share the
+    grid.
 
     Raises:
         GridMismatch: ``other`` is a Field2D on a different grid.
@@ -308,10 +308,7 @@ def linf_distance(field: Field2D, other: Union[Field2D, Callable]) -> float:
     else:
         xs = field.grid.x_nodes()
         ys = field.grid.y_nodes()
-        if hasattr(other, "evaluate_grid"):
-            other_vals = np.asarray(other.evaluate_grid(xs, ys), dtype=float)
-        else:
-            other_vals = np.asarray(other(xs[:, None], ys[None, :]), dtype=float)
+        other_vals = np.asarray(other(xs[:, None], ys[None, :]), dtype=float)
         if other_vals.shape != field.values.shape:
             raise GridMismatch(
                 f"evaluable returned shape {other_vals.shape}, expected {field.values.shape}"

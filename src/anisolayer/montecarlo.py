@@ -54,6 +54,8 @@ class McConfig:
             raise ValueError(f"dt must lie in (0, {MAX_DT}], got {self.dt}")
         if self.n_paths < MIN_PATHS:
             raise ValueError(f"n_paths must be >= {MIN_PATHS}, got {self.n_paths}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

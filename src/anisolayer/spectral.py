@@ -118,11 +118,6 @@ def cosine_coeffs(g, n_modes: int = DEFAULT_MODES,
     return CosineSeries(analyze(vals, n_modes))
 
 
-def eval_series(series: CosineSeries, x):
-    """Evaluate sum_k c_k cos(k pi x); x may be a scalar or an array."""
-    return synthesize(series.coeffs, x)
-
-
 @dataclass
 class AntiderivativeStack:
     """Repeated x-antiderivatives F_0..F_3 of the fluctuating force.

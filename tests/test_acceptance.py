@@ -20,6 +20,7 @@ import pytest
 from anisolayer import (
     CosineSeries,
     Grid2D,
+    LayerTerm,
     McConfig,
     ProblemSpec,
     builtin_problem,
@@ -28,9 +29,7 @@ from anisolayer import (
     cosine_coeffs,
     decompose,
     estimate_point,
-    eval_series,
     fd_self_convergence_estimate,
-    layer_term,
     matching_identity_check,
     mean_solution,
     mean_solution_bvp,
@@ -212,11 +211,11 @@ def test_criterion8_property_suite():
 
     # layer-term boundary and decay invariants
     series = CosineSeries(np.array([1.0, -0.25]))
-    bottom = layer_term(series, "bottom", eps=0.1)
-    top = layer_term(series, "top", eps=0.1)
+    bottom = LayerTerm("bottom", series, eps=0.1)
+    top = LayerTerm("top", series, eps=0.1)
     xs = np.linspace(0, 1, 33)
-    checks.append(bool(np.allclose(bottom(xs, 0.0), eval_series(series, xs), atol=1e-13)))
-    checks.append(bool(np.allclose(top(xs, 1.0), eval_series(series, xs), atol=1e-13)))
+    checks.append(bool(np.allclose(bottom(xs, 0.0), series(xs), atol=1e-13)))
+    checks.append(bool(np.allclose(top(xs, 1.0), series(xs), atol=1e-13)))
     checks.append(bool(np.max(np.abs(bottom(xs, 1.0))) < 1e-12))
     checks.append(bool(np.max(np.abs(top(xs, 0.0))) < 1e-12))
 

@@ -385,6 +385,15 @@ def test_fd_max_iter_below_one_is_usage_error(value, tmp_path, monkeypatch, caps
     assert not out.exists()
 
 
+def test_mc_negative_seed_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli_module, "estimate_point", _refuse)
+    out = tmp_path / "estimate.json"
+    code = run(["mc", "--problem", "paper", "--eps2", "0.05", "--x", "0.5", "--y", "0.5",
+                "--paths", "100", "--dt", "1e-3", "--seed", "-1", "--out", str(out)])
+    _assert_one_line_usage_error(code, capsys, "mc", "seed must be >= 0, got -1")
+    assert not out.exists()
+
+
 _BAD_VALUE_CASES = {
     "fd-tol-nan": ["fd", "--problem", "paper", "--eps2", "0.05", "--nx", "8", "--ny", "8",
                    "--tol", "nan", "--out", "field.csv"],

@@ -6,14 +6,13 @@ import pytest
 from anisolayer import expansion
 from anisolayer import (
     CosineSeries,
+    LayerTerm,
     MissingDerivatives,
     ProblemSpec,
     builtin_problem,
     composite,
     cosine_coeffs,
     decompose,
-    eval_series,
-    layer_term,
     mean_solution,
     mean_solution_bvp,
 )
@@ -139,35 +138,31 @@ class TestOuterTerm2:
 
 class TestLayerTerm:
     def test_bottom_boundary_value(self):
-        term = layer_term(CosineSeries(np.array([1.0])), "bottom", eps=0.1)
+        term = LayerTerm("bottom", CosineSeries(np.array([1.0])), eps=0.1)
         xs = np.linspace(0, 1, 9)
         assert np.allclose(term(xs, 0.0), np.cos(np.pi * xs), atol=1e-14)
 
     def test_bottom_decay(self):
-        term = layer_term(CosineSeries(np.array([1.0])), "bottom", eps=0.1)
+        term = LayerTerm("bottom", CosineSeries(np.array([1.0])), eps=0.1)
         expected = np.exp(-10 * np.pi) * np.cos(np.pi * 0.3)
         assert term(0.3, 1.0) == pytest.approx(expected, rel=1e-12)
         assert abs(term(0.3, 1.0)) < 1e-13
 
     def test_top_boundary_value(self):
-        term = layer_term(CosineSeries(np.array([1.0])), "top", eps=0.1)
+        term = LayerTerm("top", CosineSeries(np.array([1.0])), eps=0.1)
         xs = np.linspace(0, 1, 9)
         assert np.allclose(term(xs, 1.0), np.cos(np.pi * xs), atol=1e-14)
 
     def test_reproduces_series_at_stretched_origin(self):
         series = cosine_coeffs(lambda x: np.cos(2 * np.pi * x) - 0.5 * np.cos(np.pi * x),
                                n_modes=4)
-        term = layer_term(series, "top", eps=0.05)
+        term = LayerTerm("top", series, eps=0.05)
         xs = np.linspace(0, 1, 33)
-        assert np.allclose(term(xs, 1.0), eval_series(series, xs), atol=1e-13)
-
-    def test_decay_rates(self):
-        term = layer_term(CosineSeries(np.array([1.0, 2.0, 3.0])), "bottom", eps=0.1)
-        assert np.allclose(term.decay_rates, np.pi * np.array([1, 2, 3]))
+        assert np.allclose(term(xs, 1.0), series(xs), atol=1e-13)
 
     def test_bad_side_rejected(self):
         with pytest.raises(ValueError):
-            layer_term(CosineSeries(np.array([1.0])), "left", eps=0.1)
+            LayerTerm("left", CosineSeries(np.array([1.0])), eps=0.1)
 
 
 class TestComposite:
@@ -194,9 +189,9 @@ class TestComposite:
         ys = np.linspace(0, 1, 7)
         xg, yg = np.meshgrid(xs, ys, indexing="ij")
         assert np.all(u.outer_part(xg, yg) == 0.0)
-        total = u.mean_part(xg, yg) + u.outer_part(xg, yg) \
+        total = u.mean(yg) + u.outer_part(xg, yg) \
             + u.bottom_layer(xg, yg) + u.top_layer(xg, yg)
-        assert np.array_equal(u(xg, yg), total)
+        assert np.allclose(u(xg, yg), total, atol=1e-13)
 
     @pytest.mark.parametrize("quad_points", [16, 64])
     def test_modes_past_half_the_quadrature_intervals_rejected(self, quad_points):
@@ -253,7 +248,7 @@ class TestComposite:
         rhs = np.sum(np.abs(phi0_k) * leak) \
             + p.eps**2 * np.sum(np.abs(f0_k) * leak / (k * np.pi) ** 2)
         xs = np.linspace(0, 1, 101)
-        truncated_phi1 = d.phibar1 + eval_series(u.top_series, xs)
+        truncated_phi1 = d.phibar1 + u.top_series(xs)
         lhs = np.max(np.abs(u(xs, np.ones_like(xs)) - truncated_phi1))
         assert lhs <= rhs + 1e-9
 
@@ -288,6 +283,31 @@ class TestComposite:
         field, _ = solve_fd(p, grid)
         u2 = composite(p, order=1, n_modes=64)
         assert linf_distance(field, u2) == pytest.approx(2.8475e-5, rel=0.05)
+
+    def test_pointwise_call_synthesizes_once(self, monkeypatch):
+        u = composite(builtin_problem("paper", eps=0.2), order=1,
+                      n_modes=16, quad_points=64)
+        synthesize = expansion.synthesize
+        calls = []
+
+        def counting(coeffs, x):
+            calls.append(np.shape(coeffs))
+            return synthesize(coeffs, x)
+
+        monkeypatch.setattr(expansion, "synthesize", counting)
+        u(np.linspace(0, 1, 5), np.linspace(0, 1, 5))
+        assert len(calls) == 1
+
+    def test_linf_distance_samples_the_grid_path(self):
+        from anisolayer import Grid2D, linf_distance, solve_fd
+
+        p = builtin_problem("paper", eps=0.2)
+        grid = Grid2D(16, 32)
+        field, _ = solve_fd(p, grid)
+        u = composite(p, order=1, n_modes=8, quad_points=64)
+        expected = np.max(np.abs(field.values
+                                 - u.evaluate_grid(grid.x_nodes(), grid.y_nodes())))
+        assert linf_distance(field, u) == pytest.approx(expected, abs=1e-14)
 
     def test_scalar_call_returns_float(self):
         u = composite(builtin_problem("paper", eps=0.3), order=1,

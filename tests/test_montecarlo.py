@@ -29,6 +29,8 @@ def test_config_guards():
         McConfig(dt=2e-3)
     with pytest.raises(ValueError):
         McConfig(n_paths=10)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        McConfig(seed=-1)
 
 
 def test_degenerate_start_rejected():

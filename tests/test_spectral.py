@@ -13,7 +13,6 @@ from anisolayer import (
     cosine_coeffs,
     LayerTerm,
     decompose,
-    eval_series,
     synthesize,
 )
 
@@ -69,12 +68,12 @@ class TestCosineCoeffs:
 class TestEvalSeries:
     def test_boundary_values(self):
         s = CosineSeries(coeffs=np.array([2.0]))
-        assert eval_series(s, 0.0) == pytest.approx(2.0)
-        assert eval_series(s, 1.0) == pytest.approx(-2.0)
+        assert s(0.0) == pytest.approx(2.0)
+        assert s(1.0) == pytest.approx(-2.0)
 
     def test_midpoint_mix(self):
         s = CosineSeries(coeffs=np.array([1.0, 1.0]))
-        assert eval_series(s, 0.5) == pytest.approx(-1.0)
+        assert s(0.5) == pytest.approx(-1.0)
 
     def test_vectorized_and_callable(self):
         s = CosineSeries(coeffs=np.array([1.0, 0.5]))
@@ -119,7 +118,7 @@ def test_series_reconstruction_error_decreases():
     errors = []
     for n_modes in (8, 16, 32, 64):
         s = cosine_coeffs(d.phitilde1, n_modes=n_modes)
-        errors.append(float(np.max(np.abs(eval_series(s, xs) - d.phitilde1(xs)))))
+        errors.append(float(np.max(np.abs(s(xs) - d.phitilde1(xs)))))
     assert all(b < a for a, b in zip(errors, errors[1:]))
 
 

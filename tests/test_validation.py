@@ -362,17 +362,21 @@ class TestSweepSharesEpsFreeWork:
         assert report.refinement == (1 if refine == 1 else 8)
         assert counts[0] == counts[1]
 
-    def test_refined_reference_matches_one_solve_at_a_time(self):
+    @pytest.mark.parametrize("grid, eps2, kwargs, expected_r", [
         # the 128 x 32 sweep of test_under_resolved_grid_gets_accurate_reference
-        # (r = 16), rebuilt eps by eps from solve_fd, composite and
+        (Grid2D(128, 32), [0.02, 0.05, 0.1], dict(n_modes=16, quad_points=256), 16),
+        # the smallest refinement, whose y-estimate has no coarser level
+        (Grid2D(16, 64), [0.1, 0.15, 0.2], dict(n_modes=8, quad_points=64), 2),
+    ], ids=["r16", "r2"])
+    def test_refined_reference_matches_one_solve_at_a_time(self, grid, eps2, kwargs,
+                                                           expected_r):
+        # the sweep rebuilt eps by eps from solve_fd, composite and
         # max_principle_check by the recipe the sweep documents
         p = builtin_problem("paper")
-        eps2 = [0.02, 0.05, 0.1]
-        grid = Grid2D(128, 32)
-        kwargs = dict(n_modes=16, quad_points=256)
         report = remainder_norms(p, eps2, [0, 1], grid, **kwargs)
         r = report.refinement
-        assert r == 16
+        assert r == expected_r
+        n_x = grid.n_x
         xs, ys = grid.x_nodes(), grid.y_nodes()
 
         def rows(p_eps, n_x, level):
@@ -381,13 +385,17 @@ class TestSweepSharesEpsFreeWork:
 
         for i, e2 in enumerate(eps2):
             p_eps = p.with_eps(float(np.sqrt(e2)))
-            fine, u_r, fine_record = rows(p_eps, 128, r)
+            fine, u_r, fine_record = rows(p_eps, n_x, r)
             mp = max_principle_check(fine, p_eps)
-            _, u_half, half_record = rows(p_eps, 128, r // 2)
+            _, u_half, half_record = rows(p_eps, n_x, r // 2)
             ref = (4.0 * u_r - u_half) / 3.0
-            _, coarsest, _ = rows(p_eps, 128, r // 4)
-            est_y = float(np.max(np.abs(ref - (4.0 * u_half - coarsest) / 3.0))) / 15.0
-            _, half_x, _ = rows(p_eps, 64, r // 4)
+            if r >= 4:
+                _, coarsest, _ = rows(p_eps, n_x, r // 4)
+                est_y = float(np.max(np.abs(ref - (4.0 * u_half - coarsest) / 3.0))) / 15.0
+            else:
+                coarsest = u_half
+                est_y = float(np.max(np.abs(u_r - u_half))) / 3.0
+            _, half_x, _ = rows(p_eps, n_x // 2, max(r // 4, 1))
             est_x = float(np.max(np.abs(half_x - validation._restrict_x(coarsest)))) / 3.0
             assert report.fd_error_estimates[i] == est_y + est_x
             assert report.reference_solves[i] == [fine_record, half_record]
