@@ -10,12 +10,15 @@ Subcommands:
 
 Exit codes: 0 on success, 1 on usage errors (bad flags, unknown problem,
 inconsistent request, an output path that cannot be written; missing
-directories and directory targets are caught before any computation), 2 on
-numerical failures (a solve that fails its residual check, non-finite data,
-violated integral conditions).  File outputs are deterministic for a
-fixed flag set and seed; CSV artifacts carry '#'-prefixed metadata lines
-(tool version and config echo) above the header, JSON artifacts carry the
-same echo under a "meta" key.
+directories and directory targets are caught before any computation), on a
+request too large for memory (``MemoryError``) and on a worker process that
+dies while formatting a field CSV or simulating Monte Carlo paths
+(``ChildProcessError``), 2 on numerical failures (a solve that fails its
+residual check, non-finite data, violated integral conditions).  Each
+failure is one line on stderr, without a traceback.  File outputs are
+deterministic for a fixed flag set and seed; CSV artifacts carry
+'#'-prefixed metadata lines (tool version and config echo) above the header,
+JSON artifacts carry the same echo under a "meta" key.
 """
 
 from __future__ import annotations
@@ -355,6 +358,10 @@ def run(argv: Sequence[str] | None = None) -> int:
         return 2
     except (*_USAGE_ERRORS, OSError) as exc:
         print(f"anisolayer {args.command}: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"anisolayer {args.command}: out of memory{detail}", file=sys.stderr)
         return 1
 
 

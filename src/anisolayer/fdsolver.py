@@ -37,6 +37,7 @@ prepares each grid once and solves it for every eps^2.
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
 from typing import IO, Callable, Union
 
@@ -44,6 +45,7 @@ import numpy as np
 from scipy.fft import dct, dst, idct, idst
 from scipy.linalg import blas
 
+from ._fork import forked_map
 from ._quad import check_finite
 from .errors import GridMismatch, NoConvergence
 from .problem import ProblemSpec
@@ -54,6 +56,8 @@ CSV_FLOAT_FORMAT = ".17g"
 _EPS_MACH = float(np.finfo(float).eps)
 # entries per block of the residual sweep: 512 KB of doubles
 _BLOCK_ENTRIES = 2**16
+# values per block of CSV rows formatted by one worker task: about 1 MB of text
+_CSV_BLOCK_ENTRIES = 2**14
 
 
 @dataclass(frozen=True)
@@ -104,19 +108,38 @@ class Field2D:
 
         The x tokens are formatted once, into a row template
         ``"<x_1>,\\0,%.17g\\n<x_2>,\\0,%.17g\\n..."``.  Each y-row then costs
-        one ``str.replace`` of the placeholder by the y token, one ``%``
-        against the row's values and one ``stream.write``, so memory stays
-        bounded by one row of text.  ``'%.17g' % v`` and ``format(v, '.17g')``
+        one ``str.replace`` of the placeholder by the y token and one ``%``
+        against the row's values.  ``'%.17g' % v`` and ``format(v, '.17g')``
         go through the same float-to-string routine, so every token is the
         ``.17g`` string a per-node f-string would give.
+
+        The y-rows are formatted in blocks of whole rows, about
+        ``_CSV_BLOCK_ENTRIES`` values each, on forked workers, one per usable
+        core (see ``_fork.forked_map``); a one-block field is formatted in
+        the calling process.  The caller writes the blocks to ``stream`` in
+        order, so the bytes are the same whatever the core count, and memory
+        stays bounded by one block of text per worker.
         """
         for key, val in (metadata or {}).items():
             stream.write(f"# {key}: {val}\n")
         stream.write("x,y,value\n")
         fmt = CSV_FLOAT_FORMAT
         row = "".join(f"{x:{fmt}},\0,%{fmt}\n" for x in self.grid.x_nodes())
-        for y, col in zip(self.grid.y_nodes(), self.values.T):
-            stream.write(row.replace("\0", f"{y:{fmt}}") % tuple(col.tolist()))
+        rows_per_block = max(1, _CSV_BLOCK_ENTRIES // self.grid.n_x)
+        n_blocks = -(-(self.grid.n_y + 1) // rows_per_block)
+        job = (row, self.grid.y_nodes(), self.values, rows_per_block)
+        with closing(forked_map(_format_rows, job, n_blocks)) as blocks:
+            for text in blocks:
+                stream.write(text)
+
+
+def _format_rows(job: tuple, index: int) -> str:
+    """CSV text of the ``index``-th block of y-rows."""
+    row, ys, values, rows_per_block = job
+    rows = slice(index * rows_per_block, (index + 1) * rows_per_block)
+    fmt = CSV_FLOAT_FORMAT
+    return "".join(row.replace("\0", f"{y:{fmt}}") % tuple(col.tolist())
+                   for y, col in zip(ys[rows], values.T[rows]))
 
 
 @dataclass(frozen=True)

@@ -11,25 +11,23 @@ by Euler-Maruyama; reflection is applied through the exact folding map of the
 line onto [0, 1], and the running force integral uses the left-endpoint rule.
 
 Paths are split into fixed-size chunks, each drawing from its own SFC64
-stream spawned from the seed.  The chunks run on all usable cores: a pool of
-forked worker processes pulls chunk indices, and the calling process runs
-chunks itself only when it is the only worker.  A chunk's result depends
-only on its stream, so the estimate is bit-identical for a given seed and
-config whatever the number of workers.
+stream spawned from the seed.  The chunks run on all usable cores: with W
+forked worker processes, worker w runs chunks w, w + W, w + 2W, ... and
+pipes each result back to the calling process, which runs chunks itself only
+when it is the only worker.  A chunk's result depends only on its stream, so
+the estimate is bit-identical for a given seed and config whatever the
+number of workers.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._fork import forked_map
 from .errors import DegenerateStart, NonFiniteValue
 from .problem import ProblemSpec
 
@@ -130,7 +128,7 @@ def estimate_point(p: ProblemSpec, x0: float, y0: float, cfg: McConfig) -> McEst
 
     n_chunks = -(-cfg.n_paths // _CHUNK)
     job = (p, float(x0), float(y0), cfg, np.random.SeedSequence(cfg.seed).spawn(n_chunks))
-    chunks = _run_chunks(job, n_chunks)
+    chunks = list(forked_map(_run_indexed_chunk, job, n_chunks))
     payoffs = np.concatenate([c[0] for c in chunks])
     steps = np.concatenate([c[1] for c in chunks])
     n_exit_bottom = sum(c[2] for c in chunks)
@@ -152,56 +150,6 @@ def estimate_point(p: ProblemSpec, x0: float, y0: float, cfg: McConfig) -> McEst
         mean_steps=mean_steps,
         max_steps=int(np.max(steps)),
     )
-
-
-def _workers(n_chunks: int) -> int:
-    """Processes to run the chunks on: one per usable core, at most one per chunk.
-
-    Falls back to 1 (the calling process alone) where processes cannot be
-    forked, or from a daemonic process, which may not start children.
-    """
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:
-        cores = os.cpu_count() or 1
-    return min(n_chunks, cores)
-
-
-def _run_chunks(job: tuple, n_chunks: int) -> list:
-    """Results of every chunk, in chunk order.
-
-    With one worker the calling process runs every chunk.  Otherwise a pool
-    of forked worker processes pulls chunk indices and the caller only
-    collects.  The workers inherit ``job`` through the fork, so the problem's
-    functions are never pickled; only chunk indices and results are.
-    """
-    workers = _workers(n_chunks)
-    if workers == 1:
-        return [_run_indexed_chunk(job, c) for c in range(n_chunks)]
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_set_worker_job, initargs=(job,))
-    try:
-        return list(pool.map(_run_worker_chunk, range(n_chunks)))
-    except BrokenProcessPool:
-        raise ChildProcessError("a Monte Carlo worker process died before "
-                                "returning its chunk") from None
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
-_worker_job: tuple | None = None  # set by the initializer, in pool workers only
-
-
-def _set_worker_job(job: tuple) -> None:
-    global _worker_job
-    _worker_job = job
-
-
-def _run_worker_chunk(index: int) -> tuple[np.ndarray, np.ndarray, int]:
-    return _run_indexed_chunk(_worker_job, index)
 
 
 def _run_indexed_chunk(job: tuple, index: int) -> tuple[np.ndarray, np.ndarray, int]:

@@ -1,6 +1,8 @@
 import errno
 import json
+import multiprocessing
 import os
+from multiprocessing.context import ForkProcess
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from anisolayer import (
     composite,
     solve_fd,
 )
+from anisolayer import fdsolver
 from anisolayer.cli import run
 import anisolayer.cli as cli_module
 from anisolayer.fdsolver import DEFAULT_TOL
@@ -453,6 +456,60 @@ def test_os_error_while_writing_is_usage_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(Field2D, "write_csv", disk_full)
     code = run(_PATH_CASES["fd"][1] + ["--out", str(tmp_path / "field.csv")])
     _assert_one_line_usage_error(code, capsys, "fd", "No space left on device")
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 1.16 TiB for an array with "
+                                     "shape (400000, 400001) and data type float64", ""],
+                         ids=["numpy", "bare"])
+@pytest.mark.parametrize("command", ["fd", "expand"])
+def test_out_of_memory_is_one_line_error(command, message, tmp_path, monkeypatch, capsys):
+    # the stage raises as numpy does for a request too large to allocate;
+    # nothing is allocated for real
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    stage, argv = _PATH_CASES[command]
+    monkeypatch.setattr(cli_module, stage, out_of_memory)
+    code = run(argv + ["--out", str(tmp_path / "field.csv")])
+    _assert_one_line_usage_error(code, capsys, command, "out of memory", message)
+
+
+def test_worker_death_while_writing_is_one_line_error(tmp_path, monkeypatch, capsys):
+    # eight blocks of two y-rows, formatted on two forked workers
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(fdsolver, "_CSV_BLOCK_ENTRIES", 16)
+    caller, format_rows = os.getpid(), fdsolver._format_rows
+
+    def format_or_die(job, index):
+        if index == 1 and os.getpid() != caller:
+            os._exit(3)
+        return format_rows(job, index)
+
+    monkeypatch.setattr(fdsolver, "_format_rows", format_or_die)
+    code = run(_PATH_CASES["fd"][1] + ["--out", str(tmp_path / "field.csv")])
+    _assert_one_line_usage_error(code, capsys, "fd", "worker process died")
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_device_is_one_line_error(monkeypatch, capsys):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    code = run(["fd", "--problem", "paper", "--eps2", "0.01", "--nx", "128", "--ny", "4096",
+                "--out", "/dev/full"])
+    _assert_one_line_usage_error(code, capsys, "fd", "No space left on device")
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("command", ["fd", "expand"])
+def test_small_field_runs_fork_nothing(command, tmp_path, monkeypatch):
+    def refuse(proc):
+        raise AssertionError("a one-block field forked a worker")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(ForkProcess, "start", refuse)
+    out = tmp_path / "field.csv"
+    assert run(_PATH_CASES[command][1] + ["--out", str(out)]) == 0
+    assert out.read_text().count("x,y,value\n") == 1
 
 
 def test_fd_tiny_eps_never_writes_zero_interior(tmp_path, capsys):

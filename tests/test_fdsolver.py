@@ -1,4 +1,8 @@
+import errno
 import io
+import multiprocessing
+import os
+from multiprocessing.context import ForkProcess
 
 import numpy as np
 import pytest
@@ -250,17 +254,21 @@ class TestFieldCsv:
                 buf.write(f"{x:.17g},{y:.17g},{col[i]:.17g}\n")
         return buf.getvalue()
 
-    @pytest.mark.parametrize("n_x,n_y", [(24, 5), (3, 40)], ids=["wide", "tall"])
-    @pytest.mark.parametrize("metadata", [None, {"tool": "anisolayer test", "eps2": 0.01}],
-                             ids=["bare", "metadata"])
-    def test_bytes_match_per_node_formatting(self, n_x, n_y, metadata):
+    @staticmethod
+    def _awkward_field(n_x, n_y):
         rng = np.random.default_rng(n_x * n_y)
         shape = (n_x, n_y + 1)
         values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
         awkward = [-0.0, 5e-324, 1e300, 0.1, 1.0, 1.0 / 3.0, -1.0 / 7.0, 0.0, -2.5e-310, 12345.0]
         values.flat[:len(awkward)] = awkward
         values[-1] = rng.integers(-3, 4, n_y + 1)  # whole numbers, written without '.0'
-        field = Field2D(grid=Grid2D(n_x, n_y), values=values)
+        return Field2D(grid=Grid2D(n_x, n_y), values=values)
+
+    @pytest.mark.parametrize("n_x,n_y", [(24, 5), (3, 40)], ids=["wide", "tall"])
+    @pytest.mark.parametrize("metadata", [None, {"tool": "anisolayer test", "eps2": 0.01}],
+                             ids=["bare", "metadata"])
+    def test_bytes_match_per_node_formatting(self, n_x, n_y, metadata):
+        field = self._awkward_field(n_x, n_y)
         buf = io.StringIO()
         field.write_csv(buf, metadata=metadata)
         text = buf.getvalue()
@@ -271,6 +279,75 @@ class TestFieldCsv:
                       "-0.14285714285714285", "12345"):
             assert f",{token}\n" in text
 
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    @pytest.mark.parametrize("n_x,n_y", [(3, 2**14), (fdsolver._CSV_BLOCK_ENTRIES + 5, 2)],
+                             ids=["tall", "row-above-block"])
+    def test_multi_block_bytes_match_on_any_core_count(self, n_x, n_y, cores, monkeypatch):
+        # blocks formatted on forked workers are written in order by the caller;
+        # the header, written before the fork, appears once
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        starts = []
+        real_start = ForkProcess.start
+        monkeypatch.setattr(ForkProcess, "start",
+                            lambda proc: (starts.append(proc), real_start(proc))[1])
+        metadata = {"tool": "anisolayer test", "eps2": 0.01}
+        field = self._awkward_field(n_x, n_y)
+        buf = io.StringIO()
+        field.write_csv(buf, metadata=metadata)
+        assert buf.getvalue() == self._per_node_reference(field, metadata)
+        rows_per_block = max(1, fdsolver._CSV_BLOCK_ENTRIES // n_x)
+        n_blocks = -(-(n_y + 1) // rows_per_block)
+        assert n_blocks >= 3
+        assert len(starts) == (0 if cores == 1 else cores)
+        assert multiprocessing.active_children() == []
+
+    def test_one_block_field_never_forks(self, monkeypatch):
+        def refuse(proc):
+            raise AssertionError("a one-block field forked a worker")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(ForkProcess, "start", refuse)
+        p = builtin_problem("paper", eps=0.2)
+        for grid in (Grid2D(16, 16), Grid2D(64, 128)):
+            field, _ = solve_fd(p, grid)
+            buf = io.StringIO()
+            field.write_csv(buf, metadata={"tool": "anisolayer test"})
+            assert buf.getvalue() == self._per_node_reference(field, {"tool": "anisolayer test"})
+
+    def test_stream_error_propagates_and_stops_workers(self, monkeypatch):
+        class FailingStream(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes == 4:  # the header, then the second block
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return super().write(text)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        field = self._awkward_field(3, 2**14)
+        with pytest.raises(OSError, match="No space left"):
+            field.write_csv(FailingStream(), metadata={"tool": "anisolayer test"})
+        assert multiprocessing.active_children() == []
+
+    def test_worker_death_is_child_process_error(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(fdsolver, "_format_rows", _dies_in_worker(fdsolver._format_rows))
+        with pytest.raises(ChildProcessError):
+            self._awkward_field(3, 2**14).write_csv(io.StringIO())
+        assert multiprocessing.active_children() == []
+
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             Field2D(grid=Grid2D(4, 4), values=np.zeros((4, 4)))
+
+
+def _dies_in_worker(format_rows):
+    """A block formatter that exits the worker process formatting block 1."""
+    caller = os.getpid()
+
+    def format_or_die(job, index):
+        if index == 1 and os.getpid() != caller:
+            os._exit(3)
+        return format_rows(job, index)
+    return format_or_die
