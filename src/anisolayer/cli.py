@@ -58,7 +58,7 @@ from .problem import (
     decompose,
 )
 from .spectral import DEFAULT_MODES, build_antiderivatives
-from .validation import matching_identity_check, remainder_norms
+from .validation import MAX_REFERENCE_UNKNOWNS, matching_identity_check, remainder_norms
 
 _USAGE_ERRORS = (UnknownProblem, InsufficientPoints, MissingDerivatives,
                  DegenerateStart, ValueError)
@@ -165,8 +165,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--ny", type=int, required=True)
     sp.add_argument("--modes", type=int, default=DEFAULT_MODES)
     sp.add_argument("--quad-points", type=int, default=DEFAULT_QUAD_POINTS)
-    sp.add_argument("--no-fd-error-estimate", action="store_true",
-                    help="skip the estimate of the reference's own error")
     sp.add_argument("--refine", type=_refine, choices=(1, "auto"), default=1,
                     help="reference: 1 (default) solves once on the output grid, "
                          "'auto' Richardson-extrapolates y-refined solves that "
@@ -281,8 +279,7 @@ def _cmd_convergence(args) -> int:
     grid = Grid2D(n_x=args.nx, n_y=args.ny)
     report = remainder_norms(
         p, args.eps2, args.orders, grid,
-        n_modes=args.modes, quad_points=args.quad_points,
-        estimate_fd_error=not args.no_fd_error_estimate, refine=args.refine,
+        n_modes=args.modes, quad_points=args.quad_points, refine=args.refine,
     )
     meta = _meta(args)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -296,8 +293,16 @@ def _cmd_convergence(args) -> int:
     cells = [f"eps2={e2:g}/r{2 * n}" for n in report.orders
              for e2, bad in zip(report.eps2, report.flagged[n]) if bad]
     if cells:
+        if args.refine == 1:
+            cause = "rerun with --refine auto"
+        elif report.refinement_capped:
+            ref = report.reference_grid
+            cause = (f"the {ref.n_x}x{ref.n_y} reference grid is at the cap of "
+                     f"{MAX_REFERENCE_UNKNOWNS} unknowns")
+        else:
+            cause = "the reference's error estimate exceeds a tenth of the norm"
         print(f"anisolayer convergence: warning: reference error may pollute "
-              f"{', '.join(cells)}; rerun with --refine auto", file=sys.stderr)
+              f"{', '.join(cells)}; {cause}", file=sys.stderr)
     return 0
 
 

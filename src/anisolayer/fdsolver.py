@@ -31,7 +31,8 @@ phi1 and f once and folds the Dirichlet rows into the unscaled right-hand
 side; none of that depends on eps.  A solve of the prepared grid for one
 eps^2 runs the transforms, the division, the residual certificate and any
 refinement.  ``solve_fd`` prepares and solves once; a convergence sweep
-prepares each grid once and solves it for every eps^2.
+prepares its finest grid once, solves it for every eps^2 and takes coarser
+y-levels from its samples (``_PreparedGrid.coarsened``).
 """
 
 from __future__ import annotations
@@ -196,20 +197,33 @@ class _PreparedGrid:
     """
 
     def __init__(self, p: ProblemSpec, grid: Grid2D):
-        self.grid = grid
         xs = grid.x_nodes()
         ys = grid.y_nodes()
-        self._inv_dx2 = 1.0 / grid.dx**2
-        self._inv_dy2 = 1.0 / grid.dy**2
-        self.bottom = check_finite(p.phi0(xs), "phi0")
-        self.top = check_finite(p.phi1(xs), "phi1")
-        self.phi_max = float(max(np.max(np.abs(self.bottom)), np.max(np.abs(self.top))))
+        bottom = check_finite(p.phi0(xs), "phi0")
+        top = check_finite(p.phi1(xs), "phi1")
+        self.phi_max = float(max(np.max(np.abs(bottom)), np.max(np.abs(top))))
         rhs = np.array(check_finite(p.f(xs[:, None], ys[None, 1:-1]), "f"))
         rows = np.asarray(p.f(xs[:, None], ys[None, [0, -1]]), dtype=float)
         # max|f| without an |f| temporary; np.max keeps a NaN on the rows
         self.sup_f = float(np.max([rhs.max(), -rhs.min(), rows.max(), -rows.min()]))
-        rhs[:, 0] += self._inv_dy2 * self.bottom
-        rhs[:, -1] += self._inv_dy2 * self.top
+        self._fold(grid, bottom, top, rhs)
+
+    def coarsened(self, stride: int) -> _PreparedGrid:
+        """This level with 1/stride of its y-cells, from every stride-th row of
+        its right-hand side: for a power-of-two stride, the level prepared
+        afresh, bit for bit.  Never max-principle-checked: no phi_max, sup_f."""
+        coarse = object.__new__(_PreparedGrid)
+        coarse._fold(Grid2D(self.grid.n_x, self.grid.n_y // stride), self.bottom, self.top,
+                     self._rhs[:, stride - 1::stride].copy())
+        return coarse
+
+    def _fold(self, grid: Grid2D, bottom: np.ndarray, top: np.ndarray, rhs: np.ndarray):
+        """Fold the Dirichlet rows into ``rhs``, the interior samples of f."""
+        self.grid, self.bottom, self.top = grid, bottom, top
+        self._inv_dx2 = 1.0 / grid.dx**2
+        self._inv_dy2 = 1.0 / grid.dy**2
+        rhs[:, 0] += self._inv_dy2 * bottom
+        rhs[:, -1] += self._inv_dy2 * top
         self._rhs = rhs
         self._zero = not rhs.any()
         # eigenvalues of A_x (divided by eps^2 in solve) under the DCT-II and

@@ -39,16 +39,19 @@ distance between the extrapolations from levels (r, r/2) and (r/2, r/4)
 divided by 15 (for r = 2, the distance between the two solves divided by 3,
 the finer solve's own error, an upper estimate), and an x-part, a second-order
 Richardson estimate from a solve with half the x-cells at the coarsest
-y-level.
+y-level.  The estimate is null where that half-x grid does not exist: for an
+odd n_x or n_x < 4, and for r = 1 also for an odd n_y or n_y < 4.
 
 Only the divisions by eps depend on eps, so a sweep does the rest once.  One
 expansion base (the decomposition, the mean profile, the boundary-data
 series and the raw force coefficients at y = 0, 1 and at the output rows)
-serves every composite, each assembled from it by its eps prefactors.  Each
-grid the references need, with its samples of f, phi0 and phi1, is prepared
-once and solved for every eps^2: for r = 1 the output grid and its half
-grid, for r > 1 one refinement level after the other, keeping only output
-rows.  The maximum-principle bounds come from the same samples.
+serves every composite, each assembled from it by its eps prefactors.  The
+finest level (the output grid with r times its y-cells) and the half-x grid
+are sampled and prepared once.  Eps by eps, the finest level is solved, then
+for r > 1 the y-levels r/2 and (for the estimate, r >= 4) r/4, prepared from
+every second or fourth row of the finest level's samples, then the half-x
+grid; each solve keeps only its output rows.  The maximum-principle bounds
+come from the finest level's samples.
 """
 
 from __future__ import annotations
@@ -243,19 +246,17 @@ def fd_self_convergence_estimate(p: ProblemSpec, fine: Field2D) -> float:
     cosine modes are resampled, see ``_restrict_x``) and returns one third of
     the sup-norm difference, the second-order Richardson constant.
     """
-    coarse, _ = solve_fd(p, _half_grid(fine.grid))
-    return _self_convergence(fine.values, coarse.values)
-
-
-def _half_grid(grid: Grid2D) -> Grid2D:
+    grid = fine.grid
     if grid.n_x % 2 or grid.n_y % 2:
         raise ValueError("self-convergence estimate needs even cell counts")
-    return Grid2D(n_x=grid.n_x // 2, n_y=grid.n_y // 2)
+    coarse, _ = solve_fd(p, Grid2D(n_x=grid.n_x // 2, n_y=grid.n_y // 2))
+    return _self_convergence(fine.values[:, ::2], coarse.values)
 
 
-def _self_convergence(fine: np.ndarray, coarse: np.ndarray) -> float:
-    """fd_self_convergence_estimate from the fine and half-grid values."""
-    return float(np.max(np.abs(_restrict_x(fine[:, 0::2]) - coarse)) / 3.0)
+def _self_convergence(rows: np.ndarray, coarse: np.ndarray) -> float:
+    """The x-part of a Richardson estimate: ``rows`` holds a solution at the
+    y-nodes of ``coarse``, a solve with half its x-cells."""
+    return float(np.max(np.abs(_restrict_x(rows) - coarse)) / 3.0)
 
 
 def _layer_refinement(approxes: Sequence[list], eps_values: Sequence[float],
@@ -302,82 +303,55 @@ def _solve_record(field: Field2D, stats: SolveStats) -> dict:
             "residual_floor": stats.residual_floor}
 
 
-def _single_solve_references(p: ProblemSpec, prepared: _PreparedGrid, eps_sq: Sequence[float],
-                             estimate: bool):
-    """Yield ``(values, max_principle, error_estimate, solves)`` per eps^2 for r = 1.
+def _references(p: ProblemSpec, finest: _PreparedGrid, r: int, eps_sq: Sequence[float]):
+    """Yield ``(values, max_principle, error_estimate, solves)`` per eps^2.
 
-    One solve on the output grid and, with ``estimate``, one on its half
-    grid; both grids are prepared once for the whole sweep.
+    ``finest`` is the output grid with r times its y-cells.  The values, the
+    estimate (None without a half-x grid) and the solve order are those of
+    the module docstring; the max-principle check covers the finest solve,
+    and ``solves`` records the solves the values come from.
     """
-    half = _PreparedGrid(p, _half_grid(prepared.grid)) if estimate else None
+    n_x, n_y = finest.grid.n_x, finest.grid.n_y
+    half = None
+    if n_x % 2 == n_y % 2 == 0 and min(n_x, n_y) >= 4:
+        # at the coarsest y-level: n_y / 2 cells for r <= 2, else n_y / 4
+        half = _PreparedGrid(p, Grid2D(n_x=n_x // 2, n_y=n_y // 2 if r <= 2 else n_y // 4))
+    # the y-levels r, r/2 and, only for the estimate, r/4 as strides of the finest
+    strides = [s for s in (1, 2, 4) if s <= r and (s < 4 or half is not None)]
     for eps2 in eps_sq:
-        field, stats = prepared.solve(eps2)
+        rows = []
+        solves = []
+        for stride in strides:
+            level = finest if stride == 1 else finest.coarsened(stride)
+            field, stats = level.solve(eps2)
+            if stride == 1:
+                mp = _max_principle(field, finest, eps2)
+            if stride <= 2:
+                solves.append(_solve_record(field, stats))
+            # a strided view would pin the whole finest field
+            rows.append(field.values if r == 1 else field.values[:, ::r // stride].copy())
+            del field, level  # before the next solve
+        ref = rows[0] if r == 1 else (4.0 * rows[0] - rows[1]) / 3.0
         est = None
         if half is not None:
-            coarse, _ = half.solve(eps2)
-            est = _self_convergence(field.values, coarse.values)
-            del coarse
-        yield (field.values, _max_principle(field, prepared, eps2), est,
-               [_solve_record(field, stats)])
-        del field  # before the next solve
-
-
-def _refined_references(p: ProblemSpec, grid: Grid2D, r: int, eps_sq: Sequence[float],
-                        estimate: bool):
-    """Yield ``(values, max_principle, error_estimate, solves)`` per eps^2 for r > 1.
-
-    The values are the y-Richardson extrapolation of the levels r and r/2
-    (module docstring); the max-principle check covers the finest solve, the
-    estimate is None unless requested, and ``solves`` records the two solves
-    the values come from.  Each grid level is prepared once and solved for
-    every eps^2 before the next one is prepared, finest first, and only the
-    output rows of each solve are kept.
-    """
-    if estimate and grid.n_x % 2:
-        raise ValueError("reference error estimate needs an even n_x")
-    levels = [(grid.n_x, r), (grid.n_x, r // 2)]
-    if estimate:
-        if r >= 4:
-            levels.append((grid.n_x, r // 4))
-        levels.append((grid.n_x // 2, max(r // 4, 1)))
-    rows = []
-    mp = []
-    solves = [[] for _ in eps_sq]
-    for n_x, level in levels:
-        prepared = _PreparedGrid(p, Grid2D(n_x=n_x, n_y=grid.n_y * level))
-        kept = []
-        for i, eps2 in enumerate(eps_sq):
-            field, stats = prepared.solve(eps2)
-            kept.append(field.values[:, ::level].copy())
-            if level == r:
-                mp.append(_max_principle(field, prepared, eps2))
-            if n_x == grid.n_x and level >= r // 2:
-                solves[i].append(_solve_record(field, stats))
-            del field
-        rows.append(kept)
-        del prepared
-    for i in range(len(eps_sq)):
-        u_r, u_half = rows[0][i], rows[1][i]
-        ref = (4.0 * u_r - u_half) / 3.0
-        est = None
-        if estimate:
-            if r >= 4:
-                coarsest = rows[2][i]
-                est_y = float(np.max(np.abs(ref - (4.0 * u_half - coarsest) / 3.0))) / 15.0
+            coarse = half.solve(eps2)[0].values
+            if r == 1:
+                est = _self_convergence(ref[:, ::2], coarse)
+            elif r == 2:
+                est_y = float(np.max(np.abs(rows[0] - rows[1]))) / 3.0
+                est = est_y + _self_convergence(rows[1], coarse)
             else:
-                coarsest = u_half
-                est_y = float(np.max(np.abs(u_r - u_half))) / 3.0
-            est_x = float(np.max(np.abs(rows[-1][i] - _restrict_x(coarsest)))) / 3.0
-            est = est_y + est_x
-        for kept in rows:
-            kept[i] = None
-        yield ref, mp[i], est, solves[i]
+                est_y = float(np.max(np.abs(ref - (4.0 * rows[1] - rows[2]) / 3.0))) / 15.0
+                est = est_y + _self_convergence(rows[2], coarse[:, ::r // 4])
+            del coarse
+        del rows
+        yield ref, mp, est, solves
+        del ref  # before the next solve
 
 
 def remainder_norms(p: ProblemSpec, eps2_list: Sequence[float], orders: Sequence[int],
                     grid: Grid2D, n_modes: int = DEFAULT_MODES,
                     quad_points: int = DEFAULT_QUAD_POINTS,
-                    estimate_fd_error: bool = True,
                     refine: Literal[1, "auto"] = "auto") -> ErrorReport:
     """Measure ||u_ref - u[2n]||_inf for every (eps^2, order) pair.
 
@@ -398,8 +372,8 @@ def remainder_norms(p: ProblemSpec, eps2_list: Sequence[float], orders: Sequence
     The expansion's cosine truncation error, which sits on those rows, is
     kept out of the norms only while dy >> eps / (K pi) (module docstring).
     ``fd_error_estimates`` estimate the error of the reference actually used,
-    in x and y (see the module docstring), or are None without
-    ``estimate_fd_error``, and ``flagged`` marks each cell whose estimate
+    in x and y, or None without a half-x grid (module docstring), and
+    ``flagged`` marks each cell whose estimate
     exceeds a tenth of its norm.  ``argmax`` holds the node where each norm
     is reached and ``tail_magnitudes`` the |c_K| of the boundary and force
     series (``ErrorReport``).  ``reference_solves`` lists,
@@ -411,7 +385,7 @@ def remainder_norms(p: ProblemSpec, eps2_list: Sequence[float], orders: Sequence
     The eps-free work runs once per sweep, whatever the number of eps^2
     values: the expansion's decomposition, mean profile, boundary series and
     force coefficients, and the sampling of f, phi0 and phi1 with the
-    right-hand side of each grid solved (module docstring).  Each value
+    right-hand sides of the grids solved (module docstring).  Each value
     equals, bit for bit, what one ``solve_fd`` and one ``composite`` per
     eps^2 give.
 
@@ -457,11 +431,11 @@ def remainder_norms(p: ProblemSpec, eps2_list: Sequence[float], orders: Sequence
     while r > 1 and grid.n_x * (grid.n_y * r - 1) > MAX_REFERENCE_UNKNOWNS:
         r //= 2
     capped = r < wanted
-    if r == 1:
-        references = _single_solve_references(p, prepared, eps_sq, estimate_fd_error)
-    else:
-        del prepared
-        references = _refined_references(p, grid, r, eps_sq, estimate_fd_error)
+    if r > 1:
+        del prepared  # before the finest level is sampled
+        prepared = _PreparedGrid(p, Grid2D(n_x=grid.n_x, n_y=grid.n_y * r))
+    references = _references(p, prepared, r, eps_sq)
+    del prepared  # the generator holds the finest level
 
     norms = {n: [] for n in orders}
     dirichlet = {n: [] for n in orders}

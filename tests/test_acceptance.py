@@ -66,7 +66,7 @@ def table_report():
 @pytest.fixture(scope="module")
 def slope_report():
     return remainder_norms(builtin_problem("paper"), list(SLOPE_EPS2), [0, 1],
-                           SLOPE_GRID, n_modes=N_MODES, estimate_fd_error=False)
+                           SLOPE_GRID, n_modes=N_MODES)
 
 
 @pytest.mark.parametrize("eps2,order", sorted(TABLE))

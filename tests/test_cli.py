@@ -15,7 +15,7 @@ from anisolayer import (
     composite,
     solve_fd,
 )
-from anisolayer import fdsolver
+from anisolayer import fdsolver, validation
 from anisolayer.cli import run
 import anisolayer.cli as cli_module
 from anisolayer.fdsolver import DEFAULT_TOL
@@ -115,7 +115,7 @@ def test_convergence_sidecar_locates_norms_and_series_tails(tmp_path):
     out = tmp_path / "table.csv"
     code = run(["convergence", "--problem", "paper", "--eps2", "0.02,0.05,0.1",
                 "--nx", "16", "--ny", "16", "--modes", "8", "--quad-points", "64",
-                "--no-fd-error-estimate", "--out", str(out)])
+                "--out", str(out)])
     assert code == 0
     sidecar = json.loads((tmp_path / "table.json").read_text())
     grid = Grid2D(16, 16)
@@ -211,16 +211,61 @@ def _reject_constant(name):
 
 
 def test_convergence_sidecar_without_estimate_is_strict_json(tmp_path):
-    # estimates that were not made are null, not NaN
+    # estimates that were not made (an odd n_x has no half grid) are null, not NaN
     out = tmp_path / "table.csv"
     code = run(["convergence", "--problem", "paper", "--eps2", "0.02,0.05,0.1",
-                "--nx", "16", "--ny", "16", "--modes", "8", "--quad-points", "64",
-                "--no-fd-error-estimate", "--out", str(out)])
+                "--nx", "15", "--ny", "16", "--modes", "8", "--quad-points", "64",
+                "--out", str(out)])
     assert code == 0
     sidecar = json.loads((tmp_path / "table.json").read_text(),
                          parse_constant=_reject_constant)
     assert sidecar["fd_error_estimates"] == [None] * 3
     assert sidecar["flagged"] == {"r0": [False] * 3, "r2": [False] * 3}
+
+
+_AUTO_SWEEP = ["convergence", "--problem", "paper", "--eps2", "0.02,0.05,0.1",
+               "--modes", "8", "--quad-points", "64", "--refine", "auto"]
+
+
+def test_refine_auto_warning_names_the_estimate(tmp_path, capsys):
+    # r = 16 resolves the layers, but on 16 x-cells the x-part of the
+    # reference's error estimate exceeds a tenth of every norm
+    out = tmp_path / "table.csv"
+    assert run(_AUTO_SWEEP + ["--nx", "16", "--ny", "16", "--out", str(out)]) == 0
+    sidecar = json.loads((tmp_path / "table.json").read_text())
+    assert sidecar["reference"]["refinement"] == 16 and not sidecar["reference"]["capped"]
+    err = capsys.readouterr().err
+    assert "warning" in err and "eps2=0.02/r2" in err
+    assert "error estimate exceeds a tenth of the norm" in err
+    assert "--refine auto" not in err
+
+
+def test_refine_auto_warning_names_the_cap(tmp_path, monkeypatch, capsys):
+    # the rule asks for r = 8 on 16 x 32; under a cap of 2100 unknowns r = 4 fits
+    monkeypatch.setattr(validation, "MAX_REFERENCE_UNKNOWNS", 2100)
+    monkeypatch.setattr(cli_module, "MAX_REFERENCE_UNKNOWNS", 2100, raising=False)
+    out = tmp_path / "table.csv"
+    assert run(_AUTO_SWEEP + ["--nx", "16", "--ny", "32", "--out", str(out)]) == 0
+    sidecar = json.loads((tmp_path / "table.json").read_text())
+    assert sidecar["reference"]["refinement"] == 4 and sidecar["reference"]["capped"]
+    err = capsys.readouterr().err
+    assert "16x128 reference grid is at the cap of 2100 unknowns" in err
+    assert "--refine auto" not in err
+
+
+@pytest.mark.parametrize("argv", [["--nx", "2", "--ny", "2"],
+                                  ["--nx", "2", "--ny", "4", "--refine", "auto"]],
+                         ids=["2x2", "2x4-auto"])
+def test_grid_without_half_grid_writes_null_estimates(argv, tmp_path, capsys):
+    # two x-cells have no half grid: no estimate, and no error about a grid
+    # the user never asked for
+    out = tmp_path / "table.csv"
+    assert run(["convergence", "--problem", "paper", "--eps2", "0.02,0.05,0.1",
+                "--modes", "8", "--quad-points", "64", *argv, "--out", str(out)]) == 0
+    sidecar = json.loads((tmp_path / "table.json").read_text(),
+                         parse_constant=_reject_constant)
+    assert sidecar["fd_error_estimates"] == [None] * 3
+    assert "error" not in capsys.readouterr().err
 
 
 def test_convergence_sidecar_reruns_are_byte_identical(tmp_path):
@@ -414,6 +459,9 @@ _BAD_VALUE_CASES = {
                                     "--nx", "8", "--ny", "8", "--out", "table.csv"],
     "convergence-tol": ["convergence", "--problem", "paper", "--eps2", "0.01,0.05,0.1",
                         "--nx", "8", "--ny", "8", "--tol", "1e-6", "--out", "table.csv"],
+    "convergence-no-fd-error-estimate": ["convergence", "--problem", "paper",
+                                         "--eps2", "0.01,0.05,0.1", "--nx", "8", "--ny", "8",
+                                         "--no-fd-error-estimate", "--out", "table.csv"],
 }
 
 

@@ -197,6 +197,37 @@ class TestSolveFd:
             assert np.max(np.abs(field.values - limit.values)) <= 1e-8, eps2
 
 
+class TestCoarsenedLevel:
+    @pytest.mark.parametrize("problem", ["paper", "no-layer"])
+    @pytest.mark.parametrize("r", [2, 4, 8, 16])
+    @pytest.mark.parametrize("n_x", [16, 15])
+    def test_equals_a_freshly_prepared_level(self, problem, r, n_x):
+        # every stride-th row of the finest right-hand side, with the coarse
+        # Dirichlet rows folded in, is the level prepared from scratch
+        p = builtin_problem(problem)
+        finest = fdsolver._PreparedGrid(p, Grid2D(n_x, 8 * r))
+        for stride in (s for s in (2, 4) if s <= r):
+            coarse = finest.coarsened(stride)
+            fresh = fdsolver._PreparedGrid(p, Grid2D(n_x, 8 * r // stride))
+            assert coarse.grid == fresh.grid
+            assert coarse._rhs.flags.c_contiguous
+            for name in ("_rhs", "_mu", "_lam", "bottom", "top"):
+                a, b = getattr(coarse, name), getattr(fresh, name)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+            assert (coarse._inv_dx2, coarse._inv_dy2, coarse._zero) == (
+                fresh._inv_dx2, fresh._inv_dy2, fresh._zero)
+            u, stats = coarse.solve(0.05)
+            v, fresh_stats = fresh.solve(0.05)
+            assert u.values.tobytes() == v.values.tobytes() and stats == fresh_stats
+
+    def test_carries_no_maximum_principle_data(self):
+        # the coarse level sampled no f on its Dirichlet rows, so it has no
+        # sup|f| of its own, and no bound can be read off it
+        finest = fdsolver._PreparedGrid(builtin_problem("paper"), Grid2D(16, 32))
+        coarse = finest.coarsened(2)
+        assert not hasattr(coarse, "sup_f") and not hasattr(coarse, "phi_max")
+
+
 class TestLinfDistance:
     def test_identical_sampled_field(self):
         grid = Grid2D(8, 8)

@@ -232,7 +232,7 @@ class TestRemainderNorms:
         eps2 = [0.05, 0.1, 0.2]
         grid = Grid2D(16, 64)
         report = remainder_norms(p, eps2, [0, 1], grid, n_modes=8, quad_points=64,
-                                 refine=1, estimate_fd_error=False)
+                                 refine=1)
         xs, ys = grid.x_nodes(), grid.y_nodes()
         for i, e2 in enumerate(eps2):
             p_eps = p.with_eps(float(np.sqrt(e2)))
@@ -251,7 +251,7 @@ class TestRemainderNorms:
         p = builtin_problem("paper")
         grid = Grid2D(16, 32)
         report = remainder_norms(p, [0.05, 0.1, 0.2], [0, 1, 2], grid, n_modes=8,
-                                 quad_points=64, refine=1, estimate_fd_error=False)
+                                 quad_points=64, refine=1)
         tails = report.tail_magnitudes
         d = decompose(p, quad_points=64)
         assert tails["bottom"] == cosine_coeffs(d.phitilde0, 8, 64).tail_magnitude
@@ -318,12 +318,30 @@ class TestRemainderNorms:
         # (~5e-36, not exactly 0), far below the solution's scale eps^2 / 2,
         # so no layer asks for refinement
         p = builtin_problem("constant-force")
-        report = remainder_norms(p, [0.001, 0.01, 0.1], [0, 1], Grid2D(16, 32),
-                                 n_modes=16, quad_points=128, estimate_fd_error=False)
+        report = remainder_norms(p, [0.001, 0.01, 0.1], [0, 1], Grid2D(15, 32),
+                                 n_modes=16, quad_points=128)
         assert report.refinement == 1 and not report.refinement_capped
-        # no estimate was made: None, which JSON writes as null, not NaN
+        # an odd n_x has no half grid, so no estimate was made: None, which
+        # JSON writes as null, not NaN
         assert report.fd_error_estimates == [None] * 3
         json.dumps(report.sidecar_dict(), allow_nan=False)
+
+    @pytest.mark.parametrize("grid, refine, made", [
+        (Grid2D(15, 32), 1, False), (Grid2D(16, 31), 1, False), (Grid2D(16, 2), 1, False),
+        (Grid2D(2, 8), 1, False), (Grid2D(15, 32), "auto", False),
+        (Grid2D(2, 8), "auto", False), (Grid2D(4, 4), 1, True),
+    ], ids=["15x32", "16x31", "16x2", "2x8", "15x32-auto", "2x8-auto", "4x4"])
+    def test_estimate_needs_a_half_grid(self, grid, refine, made):
+        # the estimate needs a grid with half the x-cells (for r = 1 also half
+        # the y-cells); where none exists it is None and flags nothing
+        report = remainder_norms(builtin_problem("paper"), [0.05, 0.1, 0.2], [0], grid,
+                                 n_modes=8, quad_points=64, refine=refine)
+        assert (report.refinement > 1) == (refine == "auto")
+        if made:
+            assert all(e > 0.0 for e in report.fd_error_estimates)
+        else:
+            assert report.fd_error_estimates == [None] * 3
+            assert report.flagged[0] == [False] * 3
 
     @pytest.mark.parametrize("refine", [0, 2, 3, "fine"])
     def test_refine_must_be_one_or_auto(self, refine):
@@ -361,6 +379,38 @@ class TestSweepSharesEpsFreeWork:
             counts.append(sum(calls))
         assert report.refinement == (1 if refine == 1 else 8)
         assert counts[0] == counts[1]
+
+    def test_auto_sweep_samples_f_on_no_coarser_y_level(self):
+        # r = 8 on 16 x 32: f is sampled on the finest level (16 x 256) and on
+        # the half-x grid (8 x 64); the y-levels 128 and 64 take the finest
+        # level's samples
+        shapes = []
+        p = builtin_problem("paper")
+
+        def f(x, y):
+            out = p.f(x, y)
+            shapes.append(np.shape(out))
+            return out
+
+        report = remainder_norms(dataclasses.replace(p, f=f), [0.02, 0.05, 0.1], [0, 1],
+                                 Grid2D(16, 32), n_modes=8, quad_points=64)
+        assert report.refinement == 8
+        assert (16, 255) in shapes and (8, 63) in shapes
+        assert not {(16, 127), (16, 63)} & set(shapes)
+
+    def test_only_the_finest_level_is_maximum_principle_checked(self, monkeypatch):
+        checked = []
+        real = validation._max_principle
+
+        def record(u, prepared, eps2):
+            checked.append(prepared.grid)
+            return real(u, prepared, eps2)
+
+        monkeypatch.setattr(validation, "_max_principle", record)
+        report = remainder_norms(builtin_problem("paper"), [0.02, 0.05, 0.1], [0],
+                                 Grid2D(16, 32), n_modes=8, quad_points=64)
+        assert report.refinement == 8
+        assert checked == [Grid2D(16, 256)] * 3
 
     @pytest.mark.parametrize("grid, eps2, kwargs, expected_r", [
         # the 128 x 32 sweep of test_under_resolved_grid_gets_accurate_reference
