@@ -58,7 +58,7 @@ from .problem import (
     decompose,
 )
 from .spectral import DEFAULT_MODES, build_antiderivatives
-from .validation import MAX_REFERENCE_UNKNOWNS, matching_identity_check, remainder_norms
+from .validation import matching_identity_check, remainder_norms
 
 _USAGE_ERRORS = (UnknownProblem, InsufficientPoints, MissingDerivatives,
                  DegenerateStart, ValueError)
@@ -166,9 +166,9 @@ def build_parser() -> _Parser:
     sp.add_argument("--modes", type=int, default=DEFAULT_MODES)
     sp.add_argument("--quad-points", type=int, default=DEFAULT_QUAD_POINTS)
     sp.add_argument("--refine", type=_refine, choices=(1, "auto"), default=1,
-                    help="reference: 1 (default) solves once on the output grid, "
-                         "'auto' Richardson-extrapolates y-refined solves that "
-                         "resolve the sweep's thinnest layer")
+                    help="reference: 1 (default) solves the five-point scheme once "
+                         "on the output grid, 'auto' Richardson-extrapolates "
+                         "layer-exact solves with twice and once its y-cells")
     sp.add_argument("--out", required=True,
                     help="CSV path; the JSON sidecar lands next to it")
 
@@ -295,10 +295,6 @@ def _cmd_convergence(args) -> int:
     if cells:
         if args.refine == 1:
             cause = "rerun with --refine auto"
-        elif report.refinement_capped:
-            ref = report.reference_grid
-            cause = (f"the {ref.n_x}x{ref.n_y} reference grid is at the cap of "
-                     f"{MAX_REFERENCE_UNKNOWNS} unknowns")
         else:
             cause = "the reference's error estimate exceeds a tenth of the norm"
         print(f"anisolayer convergence: warning: reference error may pollute "

@@ -250,10 +250,6 @@ class ExpansionResult:
         return (self._outer_from(raw, y.shape) + self.bottom_layer.coeffs(y)
                 + self.top_layer.coeffs(y))
 
-    def layer_amplitudes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-mode amplitudes (k = 1..K) of the bottom and top layers."""
-        return self.bottom_layer.series.coeffs.copy(), self.top_layer.series.coeffs.copy()
-
     def outer_part(self, x, y):
         """Even outer corrections; identically zero at order 0."""
         y = np.asarray(y, dtype=float)

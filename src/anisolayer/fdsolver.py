@@ -26,6 +26,13 @@ eps^2 f, A u = b with A = A_x + eps^2 A_y, whose scale does not blow up as
 eps -> 0: one application of A gives the true residual, which must meet the
 tolerance up to the floor that storing u in doubles causes by itself.
 
+The layer-exact variant (``_PreparedGrid.solve_fitted``) changes only the
+eigenvalues: mu'_k = mu_k / (1 - mu_k dx^2 / 12), the compact x-stencil (Lele,
+J. Comput. Phys. 1992), and mode k's y-stencil scaled by sigma_k = (z /
+sinh z)^2, z = c_k dy / 2, c_k^2 = mu'_k / eps^2 (Allen & Southwell 1955;
+Il'in 1969), which makes its layers e^{+-c_k y} exact on any y-grid.  It is
+certified x-mode by x-mode after a forward orthonormal DCT of u (Parseval).
+
 The work splits at eps.  Preparing one problem on one grid samples phi0,
 phi1 and f once and folds the Dirichlet rows into the unscaled right-hand
 side; none of that depends on eps.  A solve of the prepared grid for one
@@ -187,13 +194,14 @@ def solve_fd(p: ProblemSpec, grid: Grid2D, tol: float = DEFAULT_TOL,
 
 
 class _PreparedGrid:
-    """The eps-free part of the five-point solve of one problem on one grid.
+    """The eps-free part of the solves of one problem on one grid.
 
     Samples phi0, phi1 and f once and folds the Dirichlet rows into the
-    unscaled right-hand side ``f + (boundary rows) / dy^2``; ``solve`` then
-    runs the eps-dependent part for any eps^2.  The maximum principle reads
-    ``phi_max``, max(|phi0|, |phi1|) over the x-nodes, and ``sup_f``, max|f|
-    over all of the grid's nodes, Dirichlet rows included.
+    unscaled right-hand side ``f + (boundary rows) / dy^2``; ``solve`` and
+    ``solve_fitted`` then run the eps-dependent part for any eps^2.  The
+    maximum principle reads ``phi_max``, max(|phi0|, |phi1|) over the
+    x-nodes, and ``sup_f``, max|f| over all of the grid's nodes, Dirichlet
+    rows included.
     """
 
     def __init__(self, p: ProblemSpec, grid: Grid2D):
@@ -283,6 +291,57 @@ class _PreparedGrid:
             )
         stats = SolveStats(iterations=iterations, relative_residual=rel, residual_floor=rel_floor)
         return self._field(u), stats
+
+    def solve_fitted(self, eps2: float) -> tuple[Field2D, SolveStats]:
+        """The layer-exact solution (module docstring): one transform solve,
+        certified at ``DEFAULT_TOL`` as ``solve`` certifies, or NoConvergence."""
+        if eps2 == 0.0:
+            raise ValueError(f"eps^2 = {eps2!r}: eps squares to 0 in double precision")
+        if self._zero:
+            stats = SolveStats(iterations=0, relative_residual=0.0, residual_floor=0.0)
+            return self._field(np.zeros_like(self._rhs)), stats
+        mu = self._mu / (1.0 - self._mu * (self.grid.dx**2 / 12.0))
+        beta = eps2 * self._inv_dy2
+        # as eps -> 0, mu'_k / eps^2 overflows to inf and sigma_k underflows to
+        # 0, sending mode k > 0 to its limit 0
+        with np.errstate(over="ignore", under="ignore"):
+            c2 = mu / eps2
+            z = np.sqrt(c2) * (0.5 * self.grid.dy)
+            sigma = np.zeros_like(z)  # 0 once sinh z overflows
+            sigma[z == 0.0] = 1.0
+            live = (z > 0.0) & (z < 700.0)
+            sigma[live] = (z[live] / np.sinh(z[live])) ** 2
+            # the Dirichlet rows, folded in unscaled, enter mode k scaled by sigma_k
+            fold = (sigma - 1.0) * self._inv_dy2
+            b = dct(self._rhs, type=2, axis=0, norm="ortho", workers=-1)
+            b[:, 0] += fold * dct(self.bottom, type=2, norm="ortho")
+            b[:, -1] += fold * dct(self.top, type=2, norm="ortho")
+            u = dst(b, type=1, axis=1, workers=-1)
+            # over blocks of x-modes, so that the temporaries stay small
+            step = max(1, _BLOCK_ENTRIES // u.shape[1])
+            blocks = [slice(i, i + step) for i in range(0, u.shape[0], step)]
+            for rows in blocks:
+                u[rows] /= c2[rows, None] + sigma[rows, None] * self._lam
+            u = idst(u, type=1, axis=1, overwrite_x=True, workers=-1)
+            u = idct(u, type=2, axis=0, norm="ortho", overwrite_x=True, workers=-1)
+            # b - (mu'_k + eps^2 sigma_k A_y) u in the rescaled form
+            b *= eps2
+            rhs_norm = _norm(b)
+            u_hat = dct(u, type=2, axis=0, norm="ortho", workers=-1)
+            for rows in blocks:
+                r, v, c = b[rows], u_hat[rows], beta * sigma[rows, None]
+                r -= v * (mu[rows, None] + 2.0 * c)
+                r[:, 1:] += c * v[:, :-1]
+                r[:, :-1] += c * v[:, 1:]
+            residual = _norm(b)
+            floor = 16.0 * _EPS_MACH * (self._inv_dx2 + beta) * _norm(u_hat)
+        del b, u_hat, r, v  # views too: none may live into _field
+        rel, rel_floor = residual / rhs_norm, floor / rhs_norm
+        if not (math.isfinite(residual) and residual <= DEFAULT_TOL * rhs_norm + floor):
+            raise NoConvergence(f"fitted solve residual {rel:.3e} exceeds tol "
+                                f"{DEFAULT_TOL:.1e} + floor {rel_floor:.3e}")
+        return self._field(u), SolveStats(iterations=1, relative_residual=rel,
+                                           residual_floor=rel_floor)
 
     def _field(self, interior: np.ndarray) -> Field2D:
         full = np.empty((self.grid.n_x, self.grid.n_y + 1))

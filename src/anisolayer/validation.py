@@ -1,24 +1,18 @@
 """Remainder measurement, convergence-order fits and analytic bound checks.
 
 Given a problem family, a grid and a list of eps^2 values, the remainder
-report pits every requested composite approximation against a five-point
-reference solution and records the discrete sup-norm of the difference, a
-least-squares order fit in log10-log10 coordinates, and a per-solve maximum
-principle check.
+report pits every requested composite approximation against a finite-
+difference reference solution and records the discrete sup-norm of the
+difference, a least-squares order fit in log10-log10 coordinates, and a
+per-solve maximum principle check.
 
-The reference must resolve the O(eps) boundary layers, which the output grid
-alone often does not.  With a refinement factor r > 1 the reference is solved
-on the output grid's x-nodes with r and r/2 times its y-cells, sampled at the
-output rows (the y-nodes nest) and Richardson-extrapolated in y,
-(4 u_r - u_{r/2}) / 3.  The default picks one r per sweep: the smallest power
-of two with r >= k pi dy / eps_min, where k is the fastest mode whose layer
-amplitude the expansion keeps, so the fine cells resolve the shortest decay
-length in the sweep.  A mode counts as kept when its amplitude exceeds the
-reference solve's tolerance, fdsolver.DEFAULT_TOL, times the solution's
-scale, the maximum-principle bound max|phi| + eps^2 sup|f| / 2; data without
-layers get r = 1, one solve on the output grid.  The fine grid is capped at
-MAX_REFERENCE_UNKNOWNS unknowns; a sweep that would need more is solved at
-the largest r that fits and all its cells are flagged.
+The reference must resolve the O(eps) boundary layers, which a five-point
+solve on the output grid alone often does not.  ``refine=1`` takes that
+solve anyway.  ``refine="auto"`` takes the layer-exact fitted scheme of
+fdsolver, whose y-stencil is exact on every layer e^{+-c_k y} whatever dy:
+it solves the output grid's x-nodes with twice and once its y-cells, samples
+both at the output rows (the y-nodes nest) and Richardson-extrapolates in y,
+(4 u_{2 n_y} - u_{n_y}) / 3.
 
 The sup norm runs over the rows the reference actually solves, 1..n_y - 1.
 On the Dirichlet rows the reference equals the data, so the difference there
@@ -33,25 +27,25 @@ norm; compare the norm with the Dirichlet-row error to see how much.
 
 Each table entry carries an estimate of the reference's own error and is
 flagged when that estimate is not at least ten times below the remainder it
-would pollute.  For r = 1 the estimate is the coarse-grid Richardson estimate
-of fd_self_convergence_estimate.  For r > 1 it is the sum of a y-part, the
-distance between the extrapolations from levels (r, r/2) and (r/2, r/4)
-divided by 15 (for r = 2, the distance between the two solves divided by 3,
-the finer solve's own error, an upper estimate), and an x-part, a second-order
-Richardson estimate from a solve with half the x-cells at the coarsest
-y-level.  The estimate is null where that half-x grid does not exist: for an
-odd n_x or n_x < 4, and for r = 1 also for an odd n_y or n_y < 4.
+would pollute.  For ``refine=1`` the estimate is the coarse-grid Richardson
+estimate of fd_self_convergence_estimate.  For ``"auto"`` it is the sum of a
+y-part, the distance between the extrapolations from the y-levels
+(2 n_y, n_y) and (n_y, n_y / 2) on the n_y / 2 rows divided by 15, and an
+x-part, a second-order Richardson estimate from a fitted solve with half the
+x-cells at n_y / 2.  Both estimates solve the same half grid, n_x / 2 by
+n_y / 2 cells, and are null where it does not exist: unless n_x and n_y are
+both even and at least 4.
 
 Only the divisions by eps depend on eps, so a sweep does the rest once.  One
 expansion base (the decomposition, the mean profile, the boundary-data
 series and the raw force coefficients at y = 0, 1 and at the output rows)
 serves every composite, each assembled from it by its eps prefactors.  The
-finest level (the output grid with r times its y-cells) and the half-x grid
-are sampled and prepared once.  Eps by eps, the finest level is solved, then
-for r > 1 the y-levels r/2 and (for the estimate, r >= 4) r/4, prepared from
-every second or fourth row of the finest level's samples, then the half-x
-grid; each solve keeps only its output rows.  The maximum-principle bounds
-come from the finest level's samples.
+finest level (the output grid, or for ``"auto"`` the output grid with twice
+its y-cells) and the half grid are sampled and prepared once.  Eps by eps,
+the finest level is solved, then for ``"auto"`` the y-levels n_y and (for the
+estimate) n_y / 2, prepared from every second or fourth row of the finest
+level's samples, then the half grid; each solve keeps only its output rows.
+The maximum-principle bounds come from the finest level's samples.
 """
 
 from __future__ import annotations
@@ -73,8 +67,6 @@ from .spectral import DEFAULT_MODES, AntiderivativeStack, analyze, mode_numbers
 
 MAX_PRINCIPLE_SLACK = 1e-8
 FD_ERROR_MARGIN = 10.0
-# largest reference solve remainder_norms makes: ~0.6 GB peak with solve_fd
-MAX_REFERENCE_UNKNOWNS = 2**24
 
 
 @dataclass(frozen=True)
@@ -119,7 +111,6 @@ class ErrorReport:
     n_modes: int
     reference_grid: Grid2D
     refinement: int
-    refinement_capped: bool
     dirichlet_errors: dict
     reference_solves: list
     argmax: dict
@@ -150,7 +141,6 @@ class ErrorReport:
             "reference": {
                 "grid": {"n_x": self.reference_grid.n_x, "n_y": self.reference_grid.n_y},
                 "refinement": self.refinement,
-                "capped": self.refinement_capped,
                 "solves": self.reference_solves,
             },
             "n_modes": self.n_modes,
@@ -201,13 +191,9 @@ def max_principle_check(u: Field2D, p: ProblemSpec) -> MaxPrincipleResult:
     return _max_principle(u, _PreparedGrid(p, u.grid), p.eps**2)
 
 
-def _bound(prepared: _PreparedGrid, eps2: float) -> float:
-    """Phi + G/2 with G = eps^2 sup|f| on the prepared grid (see max_principle_check)."""
-    return prepared.phi_max + 0.5 * float(eps2 * prepared.sup_f)
-
-
 def _max_principle(u: Field2D, prepared: _PreparedGrid, eps2: float) -> MaxPrincipleResult:
-    return MaxPrincipleResult(bound=_bound(prepared, eps2),
+    """The check of max_principle_check, with Phi and sup|f| from ``prepared``."""
+    return MaxPrincipleResult(bound=prepared.phi_max + 0.5 * float(eps2 * prepared.sup_f),
                               max_abs=float(np.max(np.abs(u.values))))
 
 
@@ -247,8 +233,9 @@ def fd_self_convergence_estimate(p: ProblemSpec, fine: Field2D) -> float:
     the sup-norm difference, the second-order Richardson constant.
     """
     grid = fine.grid
-    if grid.n_x % 2 or grid.n_y % 2:
-        raise ValueError("self-convergence estimate needs even cell counts")
+    if not _has_half_grid(grid):
+        raise ValueError(f"self-convergence estimate needs even cell counts of at least 4, "
+                         f"got {grid.n_x}x{grid.n_y}")
     coarse, _ = solve_fd(p, Grid2D(n_x=grid.n_x // 2, n_y=grid.n_y // 2))
     return _self_convergence(fine.values[:, ::2], coarse.values)
 
@@ -259,29 +246,10 @@ def _self_convergence(rows: np.ndarray, coarse: np.ndarray) -> float:
     return float(np.max(np.abs(_restrict_x(rows) - coarse)) / 3.0)
 
 
-def _layer_refinement(approxes: Sequence[list], eps_values: Sequence[float],
-                      bounds: Sequence[float], grid: Grid2D) -> int:
-    """Smallest power of two r with r >= k pi dy / eps_min.
-
-    ``approxes[i]`` holds the composites at ``eps_values[i]``, whose
-    maximum-principle bound on ``grid`` is ``bounds[i]``.  k is the fastest
-    mode whose bottom or top layer amplitude, in any of them, exceeds
-    ``DEFAULT_TOL`` times that bound; a smaller one lies below the solve's
-    accuracy.  A sweep without such a mode has no layer to resolve: r = 1.
-    """
-    fastest = 0
-    for bound, row in zip(bounds, approxes):
-        floor = DEFAULT_TOL * bound
-        for approx in row:
-            bottom, top = approx.layer_amplitudes()
-            live = np.flatnonzero(np.maximum(np.abs(bottom), np.abs(top)) > floor)
-            if live.size:
-                fastest = max(fastest, int(mode_numbers(approx.n_modes)[live[-1]]))
-    need = fastest * math.pi * grid.dy / min(eps_values)
-    r = 1
-    while r < need:
-        r *= 2
-    return r
+def _has_half_grid(grid: Grid2D) -> bool:
+    """Whether ``grid`` has the half grid of a Richardson estimate: even cell
+    counts of at least 4, so the half grid has 2 or more cells each way."""
+    return grid.n_x % 2 == grid.n_y % 2 == 0 and min(grid.n_x, grid.n_y) >= 4
 
 
 def _restrict_x(values: np.ndarray) -> np.ndarray:
@@ -306,44 +274,41 @@ def _solve_record(field: Field2D, stats: SolveStats) -> dict:
 def _references(p: ProblemSpec, finest: _PreparedGrid, r: int, eps_sq: Sequence[float]):
     """Yield ``(values, max_principle, error_estimate, solves)`` per eps^2.
 
-    ``finest`` is the output grid with r times its y-cells.  The values, the
-    estimate (None without a half-x grid) and the solve order are those of
-    the module docstring; the max-principle check covers the finest solve,
-    and ``solves`` records the solves the values come from.
+    ``finest`` is the output grid with r times its y-cells, r = 1 for
+    ``refine=1`` (five-point solves) and 2 for ``"auto"`` (fitted solves).
+    The values, the estimate (None without a half grid) and the solve order
+    are those of the module docstring; the max-principle check covers the
+    finest solve, and ``solves`` records the solves the values come from.
     """
-    n_x, n_y = finest.grid.n_x, finest.grid.n_y
+    n_x, n_y = finest.grid.n_x, finest.grid.n_y // r
     half = None
-    if n_x % 2 == n_y % 2 == 0 and min(n_x, n_y) >= 4:
-        # at the coarsest y-level: n_y / 2 cells for r <= 2, else n_y / 4
-        half = _PreparedGrid(p, Grid2D(n_x=n_x // 2, n_y=n_y // 2 if r <= 2 else n_y // 4))
-    # the y-levels r, r/2 and, only for the estimate, r/4 as strides of the finest
-    strides = [s for s in (1, 2, 4) if s <= r and (s < 4 or half is not None)]
+    if _has_half_grid(Grid2D(n_x, n_y)):
+        half = _PreparedGrid(p, Grid2D(n_x=n_x // 2, n_y=n_y // 2))
+    solve = _PreparedGrid.solve if r == 1 else _PreparedGrid.solve_fitted
+    # the y-levels 2 n_y, n_y and, only for the estimate, n_y / 2 as strides
+    strides = [1] if r == 1 else [1, 2, 4] if half is not None else [1, 2]
     for eps2 in eps_sq:
         rows = []
         solves = []
         for stride in strides:
             level = finest if stride == 1 else finest.coarsened(stride)
-            field, stats = level.solve(eps2)
+            field, stats = solve(level, eps2)
             if stride == 1:
                 mp = _max_principle(field, finest, eps2)
             if stride <= 2:
                 solves.append(_solve_record(field, stats))
             # a strided view would pin the whole finest field
-            rows.append(field.values if r == 1 else field.values[:, ::r // stride].copy())
+            rows.append(field.values[:, ::r].copy() if stride < r else field.values)
             del field, level  # before the next solve
         ref = rows[0] if r == 1 else (4.0 * rows[0] - rows[1]) / 3.0
         est = None
-        if half is not None:
-            coarse = half.solve(eps2)[0].values
-            if r == 1:
-                est = _self_convergence(ref[:, ::2], coarse)
-            elif r == 2:
-                est_y = float(np.max(np.abs(rows[0] - rows[1]))) / 3.0
-                est = est_y + _self_convergence(rows[1], coarse)
-            else:
-                est_y = float(np.max(np.abs(ref - (4.0 * rows[1] - rows[2]) / 3.0))) / 15.0
-                est = est_y + _self_convergence(rows[2], coarse[:, ::r // 4])
-            del coarse
+        if half is not None:  # x-part at the n_y / 2 rows, then the y-part
+            est = _self_convergence(rows[-1] if r > 1 else ref[:, ::2],
+                                    solve(half, eps2)[0].values)
+            if r > 1:
+                coarser = (4.0 * rows[1][:, ::2] - rows[2]) / 3.0
+                est += float(np.max(np.abs(ref[:, ::2] - coarser))) / 15.0
+                del coarser
         del rows
         yield ref, mp, est, solves
         del ref  # before the next solve
@@ -356,23 +321,17 @@ def remainder_norms(p: ProblemSpec, eps2_list: Sequence[float], orders: Sequence
     """Measure ||u_ref - u[2n]||_inf for every (eps^2, order) pair.
 
     One reference per eps^2 serves all orders; r is its y-refinement factor.
-    ``refine="auto"`` (the default) takes one r per sweep, the smallest power
-    of two with r >= k pi dy / eps_min, where k is the fastest mode whose
-    layer amplitude the expansion keeps above ``DEFAULT_TOL``, the solve
-    tolerance, times the solution's maximum-principle bound (r = 1 for data
-    without layers).  ``refine=1`` always takes r = 1.  With r = 1 the
-    reference is a single solve on ``grid``; with r > 1 it is the
-    y-Richardson extrapolation of solves with r and r/2 times the y-cells,
-    sampled at the output rows.  The fine grid is capped at
-    MAX_REFERENCE_UNKNOWNS unknowns: past the cap r is halved until it fits
-    and every cell is flagged.
+    ``refine=1`` takes r = 1, a single five-point solve on ``grid``.
+    ``refine="auto"`` (the default) takes r = 2: the y-Richardson
+    extrapolation of layer-exact fitted solves with twice and once the
+    y-cells of ``grid``, sampled at the output rows (module docstring).
 
     The norms run over the solved rows 1..n_y - 1; the Dirichlet rows, where
     the reference equals the data, are reported as ``dirichlet_errors``.
     The expansion's cosine truncation error, which sits on those rows, is
     kept out of the norms only while dy >> eps / (K pi) (module docstring).
     ``fd_error_estimates`` estimate the error of the reference actually used,
-    in x and y, or None without a half-x grid (module docstring), and
+    in x and y, or None without a half grid (module docstring), and
     ``flagged`` marks each cell whose estimate
     exceeds a tenth of its norm.  ``argmax`` holds the node where each norm
     is reached and ``tail_magnitudes`` the |c_K| of the boundary and force
@@ -386,8 +345,8 @@ def remainder_norms(p: ProblemSpec, eps2_list: Sequence[float], orders: Sequence
     values: the expansion's decomposition, mean profile, boundary series and
     force coefficients, and the sampling of f, phi0 and phi1 with the
     right-hand sides of the grids solved (module docstring).  Each value
-    equals, bit for bit, what one ``solve_fd`` and one ``composite`` per
-    eps^2 give.
+    equals, bit for bit, what the same solves of freshly prepared grids and
+    one ``composite`` per eps^2 give; for ``refine=1``, one ``solve_fd``.
 
     Raises:
         InsufficientPoints: fewer than 3 eps^2 values.
@@ -416,26 +375,15 @@ def remainder_norms(p: ProblemSpec, eps2_list: Sequence[float], orders: Sequence
     ys = grid.y_nodes()
 
     # once per sweep: the expansion base with its force coefficients at the
-    # output rows, and the output grid's samples of the data
+    # output rows, and the finest level's samples of the data
     for e in eps_values:
         _check_eps(e)
     base = _ExpansionBase(p, orders[-1], n_modes, quad_points)
     approxes = [[ExpansionResult(base, e, n) for n in orders] for e in eps_values]
     raw = base.force_coeffs(ys)
-    prepared = _PreparedGrid(p, grid)
-    wanted = 1
-    if refine == "auto":
-        bounds = [_bound(prepared, e2) for e2 in eps_sq]
-        wanted = _layer_refinement(approxes, eps_values, bounds, grid)
-    r = wanted
-    while r > 1 and grid.n_x * (grid.n_y * r - 1) > MAX_REFERENCE_UNKNOWNS:
-        r //= 2
-    capped = r < wanted
-    if r > 1:
-        del prepared  # before the finest level is sampled
-        prepared = _PreparedGrid(p, Grid2D(n_x=grid.n_x, n_y=grid.n_y * r))
-    references = _references(p, prepared, r, eps_sq)
-    del prepared  # the generator holds the finest level
+    r = 1 if refine == 1 else 2
+    references = _references(p, _PreparedGrid(p, Grid2D(n_x=grid.n_x, n_y=grid.n_y * r)),
+                             r, eps_sq)
 
     norms = {n: [] for n in orders}
     dirichlet = {n: [] for n in orders}
@@ -462,7 +410,7 @@ def remainder_norms(p: ProblemSpec, eps2_list: Sequence[float], orders: Sequence
         del ref  # before the next solve
 
     flagged = {
-        n: [capped or (est is not None and est > norms[n][i] / FD_ERROR_MARGIN)
+        n: [est is not None and est > norms[n][i] / FD_ERROR_MARGIN
             for i, est in enumerate(estimates)]
         for n in orders
     }
@@ -479,7 +427,6 @@ def remainder_norms(p: ProblemSpec, eps2_list: Sequence[float], orders: Sequence
         n_modes=n_modes,
         reference_grid=Grid2D(n_x=grid.n_x, n_y=grid.n_y * r),
         refinement=r,
-        refinement_capped=capped,
         dirichlet_errors=dirichlet,
         reference_solves=solves,
         argmax=argmax,

@@ -15,7 +15,7 @@ from anisolayer import (
     composite,
     solve_fd,
 )
-from anisolayer import fdsolver, validation
+from anisolayer import fdsolver
 from anisolayer.cli import run
 import anisolayer.cli as cli_module
 from anisolayer.fdsolver import DEFAULT_TOL
@@ -189,13 +189,11 @@ def test_convergence_refine_auto_records_solved_grid(tmp_path, capsys):
     sidecar = json.loads((tmp_path / "table.json").read_text())
     assert sidecar["meta"]["refine"] == "auto"
     assert "# refine: auto" in out.read_text()
-    # 16 pi dy / eps_min = 11.1 rounds up to r = 16
     solves = sidecar["reference"].pop("solves")
-    assert sidecar["reference"] == {"grid": {"n_x": 64, "n_y": 512}, "refinement": 16,
-                                    "capped": False}
+    assert sidecar["reference"] == {"grid": {"n_x": 64, "n_y": 64}, "refinement": 2}
     # per eps^2, the two y-levels the extrapolation comes from, each certified
     assert [[s["grid"] for s in eps_solves] for eps_solves in solves] == \
-        [[{"n_x": 64, "n_y": 512}, {"n_x": 64, "n_y": 256}]] * 3
+        [[{"n_x": 64, "n_y": 64}, {"n_x": 64, "n_y": 32}]] * 3
     for s in (s for eps_solves in solves for s in eps_solves):
         assert s["iterations"] == 1
         assert s["relative_residual"] <= 1e-11 + s["residual_floor"]
@@ -228,37 +226,26 @@ _AUTO_SWEEP = ["convergence", "--problem", "paper", "--eps2", "0.02,0.05,0.1",
 
 
 def test_refine_auto_warning_names_the_estimate(tmp_path, capsys):
-    # r = 16 resolves the layers, but on 16 x-cells the x-part of the
-    # reference's error estimate exceeds a tenth of every norm
+    # the fitted reference is exact on the layers, but on 16 x-cells the
+    # x-part of its error estimate exceeds a tenth of every norm
     out = tmp_path / "table.csv"
     assert run(_AUTO_SWEEP + ["--nx", "16", "--ny", "16", "--out", str(out)]) == 0
     sidecar = json.loads((tmp_path / "table.json").read_text())
-    assert sidecar["reference"]["refinement"] == 16 and not sidecar["reference"]["capped"]
+    assert sidecar["reference"]["refinement"] == 2
     err = capsys.readouterr().err
     assert "warning" in err and "eps2=0.02/r2" in err
     assert "error estimate exceeds a tenth of the norm" in err
     assert "--refine auto" not in err
 
 
-def test_refine_auto_warning_names_the_cap(tmp_path, monkeypatch, capsys):
-    # the rule asks for r = 8 on 16 x 32; under a cap of 2100 unknowns r = 4 fits
-    monkeypatch.setattr(validation, "MAX_REFERENCE_UNKNOWNS", 2100)
-    monkeypatch.setattr(cli_module, "MAX_REFERENCE_UNKNOWNS", 2100, raising=False)
-    out = tmp_path / "table.csv"
-    assert run(_AUTO_SWEEP + ["--nx", "16", "--ny", "32", "--out", str(out)]) == 0
-    sidecar = json.loads((tmp_path / "table.json").read_text())
-    assert sidecar["reference"]["refinement"] == 4 and sidecar["reference"]["capped"]
-    err = capsys.readouterr().err
-    assert "16x128 reference grid is at the cap of 2100 unknowns" in err
-    assert "--refine auto" not in err
-
-
 @pytest.mark.parametrize("argv", [["--nx", "2", "--ny", "2"],
-                                  ["--nx", "2", "--ny", "4", "--refine", "auto"]],
-                         ids=["2x2", "2x4-auto"])
+                                  ["--nx", "2", "--ny", "4", "--refine", "auto"],
+                                  ["--nx", "16", "--ny", "3", "--refine", "auto"],
+                                  ["--nx", "16", "--ny", "2", "--refine", "auto"]],
+                         ids=["2x2", "2x4-auto", "16x3-auto", "16x2-auto"])
 def test_grid_without_half_grid_writes_null_estimates(argv, tmp_path, capsys):
-    # two x-cells have no half grid: no estimate, and no error about a grid
-    # the user never asked for
+    # two x-cells, or an odd or too small y-count, have no half grid: no
+    # estimate, and no error about a grid the user never asked for
     out = tmp_path / "table.csv"
     assert run(["convergence", "--problem", "paper", "--eps2", "0.02,0.05,0.1",
                 "--modes", "8", "--quad-points", "64", *argv, "--out", str(out)]) == 0

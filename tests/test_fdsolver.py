@@ -216,9 +216,10 @@ class TestCoarsenedLevel:
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
             assert (coarse._inv_dx2, coarse._inv_dy2, coarse._zero) == (
                 fresh._inv_dx2, fresh._inv_dy2, fresh._zero)
-            u, stats = coarse.solve(0.05)
-            v, fresh_stats = fresh.solve(0.05)
-            assert u.values.tobytes() == v.values.tobytes() and stats == fresh_stats
+            for solve in (fdsolver._PreparedGrid.solve, fdsolver._PreparedGrid.solve_fitted):
+                u, stats = solve(coarse, 0.05)
+                v, fresh_stats = solve(fresh, 0.05)
+                assert u.values.tobytes() == v.values.tobytes() and stats == fresh_stats
 
     def test_carries_no_maximum_principle_data(self):
         # the coarse level sampled no f on its Dirichlet rows, so it has no
@@ -226,6 +227,65 @@ class TestCoarsenedLevel:
         finest = fdsolver._PreparedGrid(builtin_problem("paper"), Grid2D(16, 32))
         coarse = finest.coarsened(2)
         assert not hasattr(coarse, "sup_f") and not hasattr(coarse, "phi_max")
+
+
+class TestFittedSolve:
+    @staticmethod
+    def _solve(p, grid, eps2):
+        return fdsolver._PreparedGrid(p, grid).solve_fitted(eps2)
+
+    @pytest.mark.parametrize("eps2", [0.1, 1e-3, 1e-6])
+    @pytest.mark.parametrize("grid", [Grid2D(16, 16), Grid2D(8, 32), Grid2D(64, 8)])
+    def test_pure_layer_mode_is_exact(self, grid, eps2):
+        # phi0 = cos(pi x) is x-mode 1 on the staggered nodes; its layer
+        # cos(pi x) sinh(c (1 - y)) / sinh(c), with c^2 the compact
+        # x-eigenvalue over eps^2, is exact on the grid however coarse dy is
+        pi = np.pi
+        p = ProblemSpec(f=lambda x, y: 0 * x * y, phi0=lambda x: np.cos(pi * x),
+                        phi1=lambda x: 0 * x, eps=float(np.sqrt(eps2)))
+        field, stats = self._solve(p, grid, eps2)
+        mu = 4.0 / grid.dx**2 * np.sin(pi / (2 * grid.n_x)) ** 2
+        c = np.sqrt(mu / (1.0 - mu * grid.dx**2 / 12.0) / eps2)
+        ys = grid.y_nodes()
+        layer = np.exp(-c * ys) * np.expm1(-2.0 * c * (1.0 - ys)) / np.expm1(-2.0 * c)
+        expected = np.cos(pi * grid.x_nodes())[:, None] * layer
+        assert np.max(np.abs(field.values - expected)) <= 1e-15
+        assert stats.iterations == 1
+
+    def test_tiny_eps_reaches_the_limit(self):
+        # every x-mode k > 0 goes to 0, leaving the x-mean of the data: the
+        # three-point solve in y of the x-node means of f, phi0 and phi1
+        p = builtin_problem("paper")
+        grid = Grid2D(16, 16)
+        xs, ys = grid.x_nodes(), grid.y_nodes()
+        m = grid.n_y - 1
+        a = (2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)) / grid.dy**2
+        b = p.f(xs[:, None], ys[None, 1:-1]).mean(axis=0)
+        b[0] += p.phi0(xs).mean() / grid.dy**2
+        b[-1] += p.phi1(xs).mean() / grid.dy**2
+        limit = np.concatenate([[p.phi0(xs).mean()], np.linalg.solve(a, b),
+                                [p.phi1(xs).mean()]])
+        prepared = fdsolver._PreparedGrid(p, grid)
+        for eps2 in (1e-24, 1e-32, 1e-100, 1e-300, 1e-320, 5e-324):
+            with np.errstate(all="raise"):
+                field, _ = prepared.solve_fitted(eps2)
+            interior = field.values[:, 1:-1]
+            assert np.max(np.abs(interior - limit[1:-1])) <= 1e-13, eps2
+
+    def test_perturbed_inverse_transform_is_no_convergence(self, monkeypatch):
+        # a solve 1e-6 off fails the certificate after its one transform solve
+        calls = []
+        idct = fdsolver.idct
+        monkeypatch.setattr(fdsolver, "idct",
+                            lambda *a, **kw: (calls.append(1), (1.0 + 1e-6) * idct(*a, **kw))[1])
+        with pytest.raises(NoConvergence, match="fitted solve residual"):
+            self._solve(builtin_problem("paper"), Grid2D(64, 64), 0.0025)
+        assert len(calls) == 1
+
+    def test_zero_data_returns_zeros(self):
+        field, stats = self._solve(builtin_problem("zero"), Grid2D(16, 16), 0.04)
+        assert np.all(field.values == 0.0)
+        assert stats.iterations == 0
 
 
 class TestLinfDistance:

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 import anisolayer.validation as validation
+from anisolayer import fdsolver
 from anisolayer._quad import simpson_weights, unit_nodes
 from anisolayer import (
+    Field2D,
     Grid2D,
     InsufficientPoints,
     NonPositiveNorm,
@@ -151,9 +153,13 @@ class TestSelfConvergenceEstimate:
 
     def test_requires_even_cells(self):
         p = builtin_problem("zero")
-        field, _ = solve_fd(p, Grid2D(9, 8))
-        with pytest.raises(ValueError):
-            fd_self_convergence_estimate(p, field)
+        # an odd count, or 2 cells, whose half grid would have 1: the message
+        # names the grid the caller passed
+        for grid in (Grid2D(9, 8), Grid2D(2, 8)):
+            field, _ = solve_fd(p, grid)
+            with pytest.raises(ValueError, match=f"even cell counts of at least 4, "
+                                                 f"got {grid.n_x}x{grid.n_y}"):
+                fd_self_convergence_estimate(p, field)
 
 
 class TestRemainderNorms:
@@ -207,12 +213,12 @@ class TestRemainderNorms:
         assert len(sidecar["max_principle"]) == 3
 
     def test_resolved_grid_reproduces_single_solve_bit_for_bit(self):
-        # dy resolves the fastest kept layer mode, so r = 1: one solve on the
+        # refine=1 on a grid whose dy resolves the layers: one solve on the
         # output grid, exactly as measured before references were refined
         p = builtin_problem("paper")
         eps2 = [0.05, 0.1, 0.2]
         grid = Grid2D(64, 2048)
-        report = remainder_norms(p, eps2, [0, 1], grid, quad_points=256)
+        report = remainder_norms(p, eps2, [0, 1], grid, quad_points=256, refine=1)
         assert report.refinement == 1 and report.reference_grid == grid
         xs, ys = grid.x_nodes(), grid.y_nodes()
         for i, e2 in enumerate(eps2):
@@ -276,10 +282,8 @@ class TestRemainderNorms:
         kwargs = dict(n_modes=16, quad_points=256)
         report = remainder_norms(p, eps2, [0, 1], grid, **kwargs)
         plain = remainder_norms(p, eps2, [0, 1], grid, refine=1, **kwargs)
-        # 16 pi dy / eps_min = 11.1
-        assert report.refinement == 16
-        assert report.reference_grid == Grid2D(128, 512)
-        assert not report.refinement_capped
+        assert report.refinement == 2
+        assert report.reference_grid == Grid2D(128, 64)
         xs, ys = grid.x_nodes(), grid.y_nodes()
         for i, e2 in enumerate(eps2):
             # finer check: 3x the x-cells (nodes 1::3 nest) and twice the y-cells
@@ -296,31 +300,18 @@ class TestRemainderNorms:
         # the single solve on the output grid misses r2 at eps^2 = 0.02 tenfold
         assert plain.norms[1][0] > 10.0 * report.norms[1][0]
 
-    def test_refinement_capped_flags_every_cell(self, monkeypatch):
-        # the rule asks for r = 8 (8 pi dy / eps_min = 5.6); 16 x (32 r - 1)
-        # unknowns: r = 4 fits under 2100, r = 8 does not
-        monkeypatch.setattr(validation, "MAX_REFERENCE_UNKNOWNS", 2100)
-        p = builtin_problem("paper")
-        report = remainder_norms(p, [0.02, 0.05, 0.1], [0], Grid2D(16, 32),
-                                 n_modes=8, quad_points=64)
-        assert report.refinement == 4
-        assert report.refinement_capped
-        assert all(report.flagged[0])
-        ref = report.sidecar_dict()["reference"]
-        solves = ref.pop("solves")
-        assert ref == {"grid": {"n_x": 16, "n_y": 128}, "refinement": 4, "capped": True}
-        assert solves == report.reference_solves
-        assert [s["grid"] for s in solves[0]] == [{"n_x": 16, "n_y": 128}, {"n_x": 16, "n_y": 64}]
-
     def test_force_only_problem_needs_no_refinement(self):
-        # zero boundary data and a constant force: with 128 quadrature points
-        # the order-1 layer amplitudes are rounding of a zero fluctuation
-        # (~5e-36, not exactly 0), far below the solution's scale eps^2 / 2,
-        # so no layer asks for refinement
+        # zero boundary data and a constant force: the solution y(1 - y) / 2
+        # has no layer, and both schemes reproduce it at the nodes, so the
+        # layer-exact reference gives the norms of one five-point solve
         p = builtin_problem("constant-force")
-        report = remainder_norms(p, [0.001, 0.01, 0.1], [0, 1], Grid2D(15, 32),
-                                 n_modes=16, quad_points=128)
-        assert report.refinement == 1 and not report.refinement_capped
+        eps2 = [0.001, 0.01, 0.1]
+        kwargs = dict(n_modes=16, quad_points=128)
+        report = remainder_norms(p, eps2, [0, 1], Grid2D(15, 32), **kwargs)
+        plain = remainder_norms(p, eps2, [0, 1], Grid2D(15, 32), refine=1, **kwargs)
+        assert report.refinement == 2 and plain.refinement == 1
+        for n in (0, 1):
+            assert report.norms[n] == pytest.approx(plain.norms[n], rel=0, abs=1e-13)
         # an odd n_x has no half grid, so no estimate was made: None, which
         # JSON writes as null, not NaN
         assert report.fd_error_estimates == [None] * 3
@@ -330,10 +321,13 @@ class TestRemainderNorms:
         (Grid2D(15, 32), 1, False), (Grid2D(16, 31), 1, False), (Grid2D(16, 2), 1, False),
         (Grid2D(2, 8), 1, False), (Grid2D(15, 32), "auto", False),
         (Grid2D(2, 8), "auto", False), (Grid2D(4, 4), 1, True),
-    ], ids=["15x32", "16x31", "16x2", "2x8", "15x32-auto", "2x8-auto", "4x4"])
+        (Grid2D(16, 31), "auto", False), (Grid2D(16, 2), "auto", False),
+        (Grid2D(4, 4), "auto", True),
+    ], ids=["15x32", "16x31", "16x2", "2x8", "15x32-auto", "2x8-auto", "4x4",
+            "16x31-auto", "16x2-auto", "4x4-auto"])
     def test_estimate_needs_a_half_grid(self, grid, refine, made):
-        # the estimate needs a grid with half the x-cells (for r = 1 also half
-        # the y-cells); where none exists it is None and flags nothing
+        # either estimate needs the grid with half the x- and y-cells; where
+        # none exists it is None and flags nothing
         report = remainder_norms(builtin_problem("paper"), [0.05, 0.1, 0.2], [0], grid,
                                  n_modes=8, quad_points=64, refine=refine)
         assert (report.refinement > 1) == (refine == "auto")
@@ -377,13 +371,13 @@ class TestSweepSharesEpsFreeWork:
             report = remainder_norms(p, eps2, [0, 1], Grid2D(16, 32), n_modes=8,
                                      quad_points=64, refine=refine)
             counts.append(sum(calls))
-        assert report.refinement == (1 if refine == 1 else 8)
+        assert report.refinement == (1 if refine == 1 else 2)
         assert counts[0] == counts[1]
 
     def test_auto_sweep_samples_f_on_no_coarser_y_level(self):
-        # r = 8 on 16 x 32: f is sampled on the finest level (16 x 256) and on
-        # the half-x grid (8 x 64); the y-levels 128 and 64 take the finest
-        # level's samples
+        # on 16 x 32, f is sampled on the finest level (16 x 64) and on the
+        # half grid (8 x 16); the y-levels 32 and 16 take the finest level's
+        # samples
         shapes = []
         p = builtin_problem("paper")
 
@@ -394,9 +388,9 @@ class TestSweepSharesEpsFreeWork:
 
         report = remainder_norms(dataclasses.replace(p, f=f), [0.02, 0.05, 0.1], [0, 1],
                                  Grid2D(16, 32), n_modes=8, quad_points=64)
-        assert report.refinement == 8
-        assert (16, 255) in shapes and (8, 63) in shapes
-        assert not {(16, 127), (16, 63)} & set(shapes)
+        assert report.refinement == 2
+        assert (16, 63) in shapes and (8, 15) in shapes
+        assert not {(16, 31), (16, 15)} & set(shapes)
 
     def test_only_the_finest_level_is_maximum_principle_checked(self, monkeypatch):
         checked = []
@@ -409,46 +403,42 @@ class TestSweepSharesEpsFreeWork:
         monkeypatch.setattr(validation, "_max_principle", record)
         report = remainder_norms(builtin_problem("paper"), [0.02, 0.05, 0.1], [0],
                                  Grid2D(16, 32), n_modes=8, quad_points=64)
-        assert report.refinement == 8
-        assert checked == [Grid2D(16, 256)] * 3
+        assert report.refinement == 2
+        assert checked == [Grid2D(16, 64)] * 3
 
-    @pytest.mark.parametrize("grid, eps2, kwargs, expected_r", [
+    @pytest.mark.parametrize("grid, eps2, kwargs", [
         # the 128 x 32 sweep of test_under_resolved_grid_gets_accurate_reference
-        (Grid2D(128, 32), [0.02, 0.05, 0.1], dict(n_modes=16, quad_points=256), 16),
-        # the smallest refinement, whose y-estimate has no coarser level
-        (Grid2D(16, 64), [0.1, 0.15, 0.2], dict(n_modes=8, quad_points=64), 2),
-    ], ids=["r16", "r2"])
-    def test_refined_reference_matches_one_solve_at_a_time(self, grid, eps2, kwargs,
-                                                           expected_r):
-        # the sweep rebuilt eps by eps from solve_fd, composite and
-        # max_principle_check by the recipe the sweep documents
+        (Grid2D(128, 32), [0.02, 0.05, 0.1], dict(n_modes=16, quad_points=256)),
+        (Grid2D(16, 64), [0.1, 0.15, 0.2], dict(n_modes=8, quad_points=64)),
+    ], ids=["128x32", "16x64"])
+    def test_refined_reference_matches_one_solve_at_a_time(self, grid, eps2, kwargs):
+        # the sweep rebuilt eps by eps from fitted solves of freshly prepared
+        # grids, composite and max_principle_check by the recipe the sweep
+        # documents
         p = builtin_problem("paper")
         report = remainder_norms(p, eps2, [0, 1], grid, **kwargs)
-        r = report.refinement
-        assert r == expected_r
-        n_x = grid.n_x
+        assert report.refinement == 2
+        n_x, n_y = grid.n_x, grid.n_y
         xs, ys = grid.x_nodes(), grid.y_nodes()
 
-        def rows(p_eps, n_x, level):
-            field, stats = solve_fd(p_eps, Grid2D(n_x, grid.n_y * level))
-            return field, field.values[:, ::level].copy(), validation._solve_record(field, stats)
+        def solve(p_eps, n_x, n_y):
+            prepared = fdsolver._PreparedGrid(p_eps, Grid2D(n_x, n_y))
+            field, stats = prepared.solve_fitted(p_eps.eps**2)
+            return field.values, validation._solve_record(field, stats)
 
         for i, e2 in enumerate(eps2):
             p_eps = p.with_eps(float(np.sqrt(e2)))
-            fine, u_r, fine_record = rows(p_eps, n_x, r)
-            mp = max_principle_check(fine, p_eps)
-            _, u_half, half_record = rows(p_eps, n_x, r // 2)
-            ref = (4.0 * u_r - u_half) / 3.0
-            if r >= 4:
-                _, coarsest, _ = rows(p_eps, n_x, r // 4)
-                est_y = float(np.max(np.abs(ref - (4.0 * u_half - coarsest) / 3.0))) / 15.0
-            else:
-                coarsest = u_half
-                est_y = float(np.max(np.abs(u_r - u_half))) / 3.0
-            _, half_x, _ = rows(p_eps, n_x // 2, max(r // 4, 1))
-            est_x = float(np.max(np.abs(half_x - validation._restrict_x(coarsest)))) / 3.0
+            fine, fine_record = solve(p_eps, n_x, 2 * n_y)
+            mp = max_principle_check(Field2D(Grid2D(n_x, 2 * n_y), fine), p_eps)
+            mid, mid_record = solve(p_eps, n_x, n_y)
+            coarse, _ = solve(p_eps, n_x, n_y // 2)
+            half_x, _ = solve(p_eps, n_x // 2, n_y // 2)
+            ref = (4.0 * fine[:, ::2] - mid) / 3.0
+            coarser = (4.0 * mid[:, ::2] - coarse) / 3.0
+            est_y = float(np.max(np.abs(ref[:, ::2] - coarser))) / 15.0
+            est_x = float(np.max(np.abs(half_x - validation._restrict_x(coarse)))) / 3.0
             assert report.fd_error_estimates[i] == est_y + est_x
-            assert report.reference_solves[i] == [fine_record, half_record]
+            assert report.reference_solves[i] == [fine_record, mid_record]
             assert (report.max_principle[i].bound, report.max_principle[i].max_abs) == (
                 mp.bound, mp.max_abs)
             for n in (0, 1):
