@@ -269,7 +269,9 @@ class ExpansionResult:
         (``_ExpansionBase.force_coeffs``), which all eps may share."""
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
-        return self.mean(ys)[None, :] + synthesize(self._coeffs(ys, raw), xs[:, None])
+        out = synthesize(self._coeffs(ys, raw), xs[:, None])
+        out += self.mean(ys)[None, :]  # in place: no second grid-sized array
+        return out
 
 
 def composite(p: ProblemSpec, order: int = 0, n_modes: int = DEFAULT_MODES,

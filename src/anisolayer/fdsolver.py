@@ -35,9 +35,14 @@ certified x-mode by x-mode after a forward orthonormal DCT of u (Parseval).
 
 The work splits at eps.  Preparing one problem on one grid samples phi0,
 phi1 and f once and folds the Dirichlet rows into the unscaled right-hand
-side; none of that depends on eps.  A solve of the prepared grid for one
-eps^2 runs the transforms, the division, the residual certificate and any
-refinement.  ``solve_fd`` prepares and solves once; a convergence sweep
+side; none of that depends on eps.  Neither does the forward DCT-II/DST-I
+of that right-hand side, which the prepared grid computes at its first
+five-point solve and keeps.  A five-point solve for one eps^2 then runs the
+division, the two inverse transforms, the residual certificate and any
+refinement (whose residuals it transforms afresh).  The fitted solve does
+not use the kept transforms.  The transforms run single-threaded: a thread
+pool would register fork handlers, which can hang ``Field2D.write_csv``'s
+forked workers.  ``solve_fd`` prepares and solves once; a convergence sweep
 prepares its finest grid once, solves it for every eps^2 and takes coarser
 y-levels from its samples (``_PreparedGrid.coarsened``).
 """
@@ -47,6 +52,7 @@ from __future__ import annotations
 import math
 from contextlib import closing
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Callable, Union
 
 import numpy as np
@@ -198,7 +204,8 @@ class _PreparedGrid:
 
     Samples phi0, phi1 and f once and folds the Dirichlet rows into the
     unscaled right-hand side ``f + (boundary rows) / dy^2``; ``solve`` and
-    ``solve_fitted`` then run the eps-dependent part for any eps^2.  The
+    ``solve_fitted`` then run the eps-dependent part for any eps^2, ``solve``
+    from the forward transforms ``_rhs_hat`` that its first call keeps.  The
     maximum principle reads ``phi_max``, max(|phi0|, |phi1|) over the
     x-nodes, and ``sup_f``, max|f| over all of the grid's nodes, Dirichlet
     rows included.
@@ -241,6 +248,12 @@ class _PreparedGrid:
         self._lam = 4.0 * self._inv_dy2 * np.sin(
             np.arange(1, grid.n_y) * (np.pi / (2 * grid.n_y))) ** 2
 
+    @cached_property
+    def _rhs_hat(self) -> np.ndarray:
+        """The forward transforms of the right-hand side, which do not depend
+        on eps: computed at the first five-point solve and kept."""
+        return _forward(self._rhs.copy())
+
     def solve(self, eps2: float, tol: float = DEFAULT_TOL,
               max_iter: int = DEFAULT_MAX_ITER) -> tuple[Field2D, SolveStats]:
         """The five-point solution for anisotropy eps^2 (see ``solve_fd``)."""
@@ -261,15 +274,16 @@ class _PreparedGrid:
             mu = self._mu / eps2
         lam = self._lam
 
-        def invert(b: np.ndarray) -> np.ndarray:
-            """(A_x / eps^2 + A_y)^{-1} b, computed in b's memory."""
-            b = dct(b, type=2, axis=0, overwrite_x=True, workers=-1)
-            b = dst(b, type=1, axis=1, overwrite_x=True, workers=-1)
-            b /= mu[:, None] + lam
-            b = idst(b, type=1, axis=1, overwrite_x=True, workers=-1)
-            return idct(b, type=2, axis=0, overwrite_x=True, workers=-1)
+        def invert(b_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
+            """(A_x / eps^2 + A_y)^{-1} b from b's transforms ``b_hat``,
+            computed in ``out``'s memory (which may be ``b_hat``)."""
+            # over blocks of x-rows, so that the divisor stays small
+            for rows in _row_blocks(out.shape):
+                np.divide(b_hat[rows], mu[rows, None] + lam, out=out[rows])
+            out = idst(out, type=1, axis=1, overwrite_x=True)
+            return idct(out, type=2, axis=0, overwrite_x=True)
 
-        u = invert(self._rhs.copy())
+        u = invert(self._rhs_hat, np.empty_like(self._rhs))
         r = np.multiply(self._rhs, eps2)  # b of the rescaled form A u = b
         rhs_norm = _norm(r)
         for iterations in range(1, max_iter + 1):
@@ -280,7 +294,7 @@ class _PreparedGrid:
             if accepted or not math.isfinite(residual) or iterations == max_iter:
                 break
             r /= eps2
-            u += invert(r)
+            u += invert(_forward(r), r)
             r = np.multiply(self._rhs, eps2)
         del r
         rel, rel_floor = residual / rhs_norm, floor / rhs_norm
@@ -313,21 +327,20 @@ class _PreparedGrid:
             sigma[live] = (z[live] / np.sinh(z[live])) ** 2
             # the Dirichlet rows, folded in unscaled, enter mode k scaled by sigma_k
             fold = (sigma - 1.0) * self._inv_dy2
-            b = dct(self._rhs, type=2, axis=0, norm="ortho", workers=-1)
+            b = dct(self._rhs, type=2, axis=0, norm="ortho")
             b[:, 0] += fold * dct(self.bottom, type=2, norm="ortho")
             b[:, -1] += fold * dct(self.top, type=2, norm="ortho")
-            u = dst(b, type=1, axis=1, workers=-1)
+            u = dst(b, type=1, axis=1)
             # over blocks of x-modes, so that the temporaries stay small
-            step = max(1, _BLOCK_ENTRIES // u.shape[1])
-            blocks = [slice(i, i + step) for i in range(0, u.shape[0], step)]
+            blocks = _row_blocks(u.shape)
             for rows in blocks:
                 u[rows] /= c2[rows, None] + sigma[rows, None] * self._lam
-            u = idst(u, type=1, axis=1, overwrite_x=True, workers=-1)
-            u = idct(u, type=2, axis=0, norm="ortho", overwrite_x=True, workers=-1)
+            u = idst(u, type=1, axis=1, overwrite_x=True)
+            u = idct(u, type=2, axis=0, norm="ortho", overwrite_x=True)
             # b - (mu'_k + eps^2 sigma_k A_y) u in the rescaled form
             b *= eps2
             rhs_norm = _norm(b)
-            u_hat = dct(u, type=2, axis=0, norm="ortho", workers=-1)
+            u_hat = dct(u, type=2, axis=0, norm="ortho")
             for rows in blocks:
                 r, v, c = b[rows], u_hat[rows], beta * sigma[rows, None]
                 r -= v * (mu[rows, None] + 2.0 * c)
@@ -349,6 +362,18 @@ class _PreparedGrid:
         full[:, 1:-1] = interior
         full[:, -1] = self.top
         return Field2D(grid=self.grid, values=full)
+
+
+def _forward(b: np.ndarray) -> np.ndarray:
+    """The DCT-II in x and the DST-I in y of the interior array b, in b's memory."""
+    b = dct(b, type=2, axis=0, overwrite_x=True)
+    return dst(b, type=1, axis=1, overwrite_x=True)
+
+
+def _row_blocks(shape: tuple) -> list:
+    """Slices of whole x-rows of about ``_BLOCK_ENTRIES`` entries each."""
+    step = max(1, _BLOCK_ENTRIES // shape[1])
+    return [slice(i, i + step) for i in range(0, shape[0], step)]
 
 
 def _subtract_operator(b: np.ndarray, u: np.ndarray, inv_dx2: float, beta: float) -> None:

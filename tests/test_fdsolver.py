@@ -2,7 +2,10 @@ import errno
 import io
 import multiprocessing
 import os
+import subprocess
+import sys
 from multiprocessing.context import ForkProcess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,8 @@ from anisolayer import (
     solve_fd,
 )
 from anisolayer import fdsolver
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestGrid2D:
@@ -195,6 +200,41 @@ class TestSolveFd:
         for eps2 in (1e-32, 1e-40, 1e-100, 1e-300, 1e-320, 5e-324):
             field, _ = solve_fd(builtin_problem("paper", eps=float(np.sqrt(eps2))), grid)
             assert np.max(np.abs(field.values - limit.values)) <= 1e-8, eps2
+
+    @pytest.mark.parametrize("first, eps", [(0.01, 0.5), (0.25, 1e-3)])
+    def test_prepared_grid_solves_a_second_eps_as_a_fresh_grid(self, first, eps):
+        # the transforms of the right-hand side, kept from the first solve,
+        # give the second eps^2 bit for bit what a freshly prepared grid gives
+        p, grid = builtin_problem("paper", eps=eps), Grid2D(32, 48)
+        prepared = fdsolver._PreparedGrid(p, grid)
+        prepared.solve(first)
+        u, stats = prepared.solve(eps**2)
+        v, fresh_stats = solve_fd(p, grid)
+        assert u.values.tobytes() == v.values.tobytes() and stats == fresh_stats
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+def test_solves_start_no_threads():
+    # a transform thread pool registers fork handlers, which can hang the
+    # forked CSV workers; a fresh interpreter has started no pool yet
+    code = (
+        "import os, anisolayer as a\n"
+        "from anisolayer import fdsolver\n"
+        "def count(): return len(os.listdir('/proc/self/task'))\n"
+        "before = count()\n"
+        "p, grid = a.builtin_problem('paper', eps=0.1), a.Grid2D(64, 64)\n"
+        "a.solve_fd(p, grid)\n"
+        "fdsolver._PreparedGrid(p, grid).solve_fitted(0.01)\n"
+        "for refine in (1, 'auto'):\n"
+        "    a.remainder_norms(p, [0.02, 0.05, 0.1], [0, 1], a.Grid2D(16, 32), n_modes=8,\n"
+        "                      quad_points=64, refine=refine)\n"
+        "print(before, count())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out[0] == out[1]
 
 
 class TestCoarsenedLevel:

@@ -374,6 +374,16 @@ class TestSweepSharesEpsFreeWork:
         assert report.refinement == (1 if refine == 1 else 2)
         assert counts[0] == counts[1]
 
+    def test_five_point_sweep_transforms_each_grid_once(self, monkeypatch):
+        # one forward DST-I for the finest grid and one for the half grid,
+        # however many eps^2 the sweep solves
+        calls = []
+        dst = fdsolver.dst
+        monkeypatch.setattr(fdsolver, "dst", lambda *a, **kw: calls.append(1) or dst(*a, **kw))
+        remainder_norms(builtin_problem("paper"), [0.01, 0.02, 0.05, 0.1, 0.2], [0, 1],
+                        Grid2D(16, 32), n_modes=8, quad_points=64, refine=1)
+        assert len(calls) == 2
+
     def test_auto_sweep_samples_f_on_no_coarser_y_level(self):
         # on 16 x 32, f is sampled on the finest level (16 x 64) and on the
         # half grid (8 x 16); the y-levels 32 and 16 take the finest level's
