@@ -166,9 +166,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--modes", type=int, default=DEFAULT_MODES)
     sp.add_argument("--quad-points", type=int, default=DEFAULT_QUAD_POINTS)
     sp.add_argument("--refine", type=_refine, choices=(1, "auto"), default=1,
-                    help="reference: 1 (default) solves the five-point scheme once "
-                         "on the output grid, 'auto' Richardson-extrapolates "
-                         "layer-exact solves with twice and once its y-cells")
+                    help="reference: one solve on the output grid by the five-point "
+                         "scheme (1, the default) or the layer-exact fitted scheme ('auto')")
     sp.add_argument("--out", required=True,
                     help="CSV path; the JSON sidecar lands next to it")
 

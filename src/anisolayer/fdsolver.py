@@ -26,12 +26,16 @@ eps^2 f, A u = b with A = A_x + eps^2 A_y, whose scale does not blow up as
 eps -> 0: one application of A gives the true residual, which must meet the
 tolerance up to the floor that storing u in doubles causes by itself.
 
-The layer-exact variant (``_PreparedGrid.solve_fitted``) changes only the
+The layer-exact variant (``_PreparedGrid.solve_fitted``) changes the
 eigenvalues: mu'_k = mu_k / (1 - mu_k dx^2 / 12), the compact x-stencil (Lele,
 J. Comput. Phys. 1992), and mode k's y-stencil scaled by sigma_k = (z /
 sinh z)^2, z = c_k dy / 2, c_k^2 = mu'_k / eps^2 (Allen & Southwell 1955;
-Il'in 1969), which makes its layers e^{+-c_k y} exact on any y-grid.  It is
-certified x-mode by x-mode after a forward orthonormal DCT of u (Parseval).
+Il'in 1969), which makes its layers e^{+-c_k y} exact on any y-grid.  It
+weights mode k's forcing g, the x-DCT of f, as Numerov does: g + beta_k
+delta_y^2 g with beta_k = (1 - sigma_k) / (2 z)^2, which is exact on
+quadratic g and so fourth order in y (Ixaru & Vanden Berghe, Exponential
+Fitting, 2004).  It is certified x-mode by x-mode after a forward
+orthonormal DCT of u (Parseval).
 
 The work splits at eps.  Preparing one problem on one grid samples phi0,
 phi1 and f once and folds the Dirichlet rows into the unscaled right-hand
@@ -43,8 +47,8 @@ refinement (whose residuals it transforms afresh).  The fitted solve does
 not use the kept transforms.  The transforms run single-threaded: a thread
 pool would register fork handlers, which can hang ``Field2D.write_csv``'s
 forked workers.  ``solve_fd`` prepares and solves once; a convergence sweep
-prepares its finest grid once, solves it for every eps^2 and takes coarser
-y-levels from its samples (``_PreparedGrid.coarsened``).
+prepares its output grid once, solves it for every eps^2 and takes the
+coarser y-level of its estimate from its samples (``_PreparedGrid.coarsened``).
 """
 
 from __future__ import annotations
@@ -203,7 +207,8 @@ class _PreparedGrid:
     """The eps-free part of the solves of one problem on one grid.
 
     Samples phi0, phi1 and f once and folds the Dirichlet rows into the
-    unscaled right-hand side ``f + (boundary rows) / dy^2``; ``solve`` and
+    unscaled right-hand side ``f + (boundary rows) / dy^2``, keeping f's
+    rows at y = 0, dy, 1 - dy and 1 for ``solve_fitted``; ``solve`` and
     ``solve_fitted`` then run the eps-dependent part for any eps^2, ``solve``
     from the forward transforms ``_rhs_hat`` that its first call keeps.  The
     maximum principle reads ``phi_max``, max(|phi0|, |phi1|) over the
@@ -218,10 +223,10 @@ class _PreparedGrid:
         top = check_finite(p.phi1(xs), "phi1")
         self.phi_max = float(max(np.max(np.abs(bottom)), np.max(np.abs(top))))
         rhs = np.array(check_finite(p.f(xs[:, None], ys[None, 1:-1]), "f"))
-        rows = np.asarray(p.f(xs[:, None], ys[None, [0, -1]]), dtype=float)
+        ends = np.asarray(p.f(xs[:, None], ys[None, [0, -1]]), dtype=float)
         # max|f| without an |f| temporary; np.max keeps a NaN on the rows
-        self.sup_f = float(np.max([rhs.max(), -rhs.min(), rows.max(), -rows.min()]))
-        self._fold(grid, bottom, top, rhs)
+        self.sup_f = float(np.max([rhs.max(), -rhs.min(), ends.max(), -ends.min()]))
+        self._fold(grid, bottom, top, ends, rhs)
 
     def coarsened(self, stride: int) -> _PreparedGrid:
         """This level with 1/stride of its y-cells, from every stride-th row of
@@ -229,14 +234,16 @@ class _PreparedGrid:
         afresh, bit for bit.  Never max-principle-checked: no phi_max, sup_f."""
         coarse = object.__new__(_PreparedGrid)
         coarse._fold(Grid2D(self.grid.n_x, self.grid.n_y // stride), self.bottom, self.top,
-                     self._rhs[:, stride - 1::stride].copy())
+                     self._f_rows[:, [0, 3]], self._rhs[:, stride - 1::stride].copy())
         return coarse
 
-    def _fold(self, grid: Grid2D, bottom: np.ndarray, top: np.ndarray, rhs: np.ndarray):
+    def _fold(self, grid: Grid2D, bottom: np.ndarray, top: np.ndarray, ends: np.ndarray,
+              rhs: np.ndarray):
         """Fold the Dirichlet rows into ``rhs``, the interior samples of f."""
         self.grid, self.bottom, self.top = grid, bottom, top
         self._inv_dx2 = 1.0 / grid.dx**2
         self._inv_dy2 = 1.0 / grid.dy**2
+        self._f_rows = np.stack([ends[:, 0], rhs[:, 0], rhs[:, -1], ends[:, 1]], axis=1)
         rhs[:, 0] += self._inv_dy2 * bottom
         rhs[:, -1] += self._inv_dy2 * top
         self._rhs = rhs
@@ -325,14 +332,24 @@ class _PreparedGrid:
             sigma[z == 0.0] = 1.0
             live = (z > 0.0) & (z < 700.0)
             sigma[live] = (z[live] / np.sinh(z[live])) ** 2
-            # the Dirichlet rows, folded in unscaled, enter mode k scaled by sigma_k
-            fold = (sigma - 1.0) * self._inv_dy2
+            # beta_k = (1 - sigma_k) / s^2, s = 2 z, by its series where that cancels
+            s2 = c2 * self.grid.dy**2
+            weight = 1.0 / 12.0 - s2 / 240.0
+            wide = s2 >= 1e-4
+            weight[wide] = (1.0 - sigma[wide]) / s2[wide]
+            # g + beta_k delta_y^2 g from f's own rows, then the Dirichlet rows
+            # of u, which enter mode k scaled by sigma_k
+            g = dct(self._f_rows, type=2, axis=0, norm="ortho")
             b = dct(self._rhs, type=2, axis=0, norm="ortho")
-            b[:, 0] += fold * dct(self.bottom, type=2, norm="ortho")
-            b[:, -1] += fold * dct(self.top, type=2, norm="ortho")
-            u = dst(b, type=1, axis=1)
+            b[:, 0], b[:, -1] = g[:, 1], g[:, 2]
             # over blocks of x-modes, so that the temporaries stay small
-            blocks = _row_blocks(u.shape)
+            blocks = _row_blocks(b.shape)
+            for rows in blocks:
+                padded = np.concatenate([g[rows, :1], b[rows], g[rows, 3:]], axis=1)
+                b[rows] += weight[rows, None] * np.diff(padded, 2, axis=1)
+            b[:, 0] += sigma * self._inv_dy2 * dct(self.bottom, type=2, norm="ortho")
+            b[:, -1] += sigma * self._inv_dy2 * dct(self.top, type=2, norm="ortho")
+            u = dst(b, type=1, axis=1)
             for rows in blocks:
                 u[rows] /= c2[rows, None] + sigma[rows, None] * self._lam
             u = idst(u, type=1, axis=1, overwrite_x=True)

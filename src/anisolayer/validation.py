@@ -9,10 +9,9 @@ per-solve maximum principle check.
 The reference must resolve the O(eps) boundary layers, which a five-point
 solve on the output grid alone often does not.  ``refine=1`` takes that
 solve anyway.  ``refine="auto"`` takes the layer-exact fitted scheme of
-fdsolver, whose y-stencil is exact on every layer e^{+-c_k y} whatever dy:
-it solves the output grid's x-nodes with twice and once its y-cells, samples
-both at the output rows (the y-nodes nest) and Richardson-extrapolates in y,
-(4 u_{2 n_y} - u_{n_y}) / 3.
+fdsolver instead, whose y-stencil is exact on every layer e^{+-c_k y}
+whatever dy and whose Numerov-weighted forcing makes it fourth order in y:
+one solve on the output grid.
 
 The sup norm runs over the rows the reference actually solves, 1..n_y - 1.
 On the Dirichlet rows the reference equals the data, so the difference there
@@ -28,27 +27,26 @@ norm; compare the norm with the Dirichlet-row error to see how much.
 Each table entry carries an estimate of the reference's own error and is
 flagged when that estimate is not at least ten times below the remainder it
 would pollute.  For ``refine=1`` the estimate is the coarse-grid Richardson
-estimate of fd_self_convergence_estimate.  For ``"auto"`` it is the sum of a
-y-part, the distance between the extrapolations from the y-levels
-(2 n_y, n_y) and (n_y, n_y / 2) on the n_y / 2 rows divided by 15, and an
-x-part, a second-order Richardson estimate from a fitted solve with half the
-x-cells at n_y / 2.  Both estimates solve the same half grid, n_x / 2 by
-n_y / 2 cells, and are null where it does not exist: unless n_x and n_y are
-both even and at least 4.
+estimate of fd_self_convergence_estimate.  For ``"auto"`` it is the sum of
+an x-part, a second-order Richardson estimate from a fitted solve with half
+the x- and y-cells against the fitted solve at n_y / 2, and a y-part, the
+fourth-order Richardson estimate |u(n_y) - u(n_y / 2)| / 15 on the n_y / 2
+rows.  Both estimates solve the same half grid, n_x / 2 by n_y / 2 cells,
+and are null where it does not exist: unless n_x and n_y are both even and
+at least 4.
 
 Only the divisions by eps depend on eps, so a sweep does the rest once.  One
 expansion base (the decomposition, the mean profile, the boundary-data
 series and the raw force coefficients at y = 0, 1 and at the output rows)
 serves every composite, each assembled from it by its eps prefactors.  The
-finest level (the output grid, or for ``"auto"`` the output grid with twice
-its y-cells) and the half grid are sampled and prepared once.  Eps by eps,
-the finest level is solved, then for ``"auto"`` the y-levels n_y and (for the
-estimate) n_y / 2, prepared from every second or fourth row of the finest
-level's samples, then the half grid; each solve keeps only its output rows.
-A five-point grid transforms its right-hand side forward once, at its first
-solve, so under ``refine=1`` a solve for one eps^2 runs only the division,
-the two inverse transforms and the residual certificate.
-The maximum-principle bounds come from the finest level's samples.
+output grid and the half grid are sampled and prepared once, and for
+``"auto"`` the y-level n_y / 2 of the estimate is prepared from every second
+row of the output grid's samples.  Eps by eps, the output grid is solved,
+then for ``"auto"`` the y-level n_y / 2, then the half grid.  A five-point
+grid transforms its right-hand side forward once, at its first solve, so
+under ``refine=1`` a solve for one eps^2 runs only the division, the two
+inverse transforms and the residual certificate.  The maximum-principle
+bounds come from the output grid's samples.
 """
 
 from __future__ import annotations
@@ -101,6 +99,7 @@ class ErrorReport:
     i-th eps^2 is reached.  ``tail_magnitudes`` holds |c_K| of the bottom
     and top boundary-data series and, per correction m = 1..max(orders), the
     largest |c_K| of the m-th force source's series over the output rows.
+    ``scheme`` names the reference's scheme, ``"five-point"`` or ``"fitted"``.
     """
 
     eps2: list
@@ -112,8 +111,7 @@ class ErrorReport:
     max_principle: list
     grid: Grid2D
     n_modes: int
-    reference_grid: Grid2D
-    refinement: int
+    scheme: str
     dirichlet_errors: dict
     reference_solves: list
     argmax: dict
@@ -142,8 +140,7 @@ class ErrorReport:
             },
             "grid": {"n_x": self.grid.n_x, "n_y": self.grid.n_y},
             "reference": {
-                "grid": {"n_x": self.reference_grid.n_x, "n_y": self.reference_grid.n_y},
-                "refinement": self.refinement,
+                "scheme": self.scheme,
                 "solves": self.reference_solves,
             },
             "n_modes": self.n_modes,
@@ -274,45 +271,35 @@ def _solve_record(field: Field2D, stats: SolveStats) -> dict:
             "residual_floor": stats.residual_floor}
 
 
-def _references(p: ProblemSpec, finest: _PreparedGrid, r: int, eps_sq: Sequence[float]):
+def _references(p: ProblemSpec, prepared: _PreparedGrid, fitted: bool,
+                eps_sq: Sequence[float]):
     """Yield ``(values, max_principle, error_estimate, solves)`` per eps^2.
 
-    ``finest`` is the output grid with r times its y-cells, r = 1 for
-    ``refine=1`` (five-point solves) and 2 for ``"auto"`` (fitted solves).
-    The values, the estimate (None without a half grid) and the solve order
-    are those of the module docstring; the max-principle check covers the
-    finest solve, and ``solves`` records the solves the values come from.
+    ``prepared`` is the output grid, solved once per eps^2 by the fitted
+    scheme or, unless ``fitted``, the five-point scheme.  The estimate (None
+    without a half grid) and the solve order are those of the module
+    docstring; the max-principle check covers the output grid's solve, and
+    ``solves`` records it.
     """
-    n_x, n_y = finest.grid.n_x, finest.grid.n_y // r
-    half = None
-    if _has_half_grid(Grid2D(n_x, n_y)):
-        half = _PreparedGrid(p, Grid2D(n_x=n_x // 2, n_y=n_y // 2))
-    solve = _PreparedGrid.solve if r == 1 else _PreparedGrid.solve_fitted
-    # the y-levels 2 n_y, n_y and, only for the estimate, n_y / 2 as strides
-    strides = [1] if r == 1 else [1, 2, 4] if half is not None else [1, 2]
+    grid = prepared.grid
+    solve = _PreparedGrid.solve_fitted if fitted else _PreparedGrid.solve
+    half = coarse = None
+    if _has_half_grid(grid):
+        half = _PreparedGrid(p, Grid2D(n_x=grid.n_x // 2, n_y=grid.n_y // 2))
+        coarse = prepared.coarsened(2) if fitted else None
     for eps2 in eps_sq:
-        rows = []
-        solves = []
-        for stride in strides:
-            level = finest if stride == 1 else finest.coarsened(stride)
-            field, stats = solve(level, eps2)
-            if stride == 1:
-                mp = _max_principle(field, finest, eps2)
-            if stride <= 2:
-                solves.append(_solve_record(field, stats))
-            # a strided view would pin the whole finest field
-            rows.append(field.values[:, ::r].copy() if stride < r else field.values)
-            del field, level  # before the next solve
-        ref = rows[0] if r == 1 else (4.0 * rows[0] - rows[1]) / 3.0
+        field, stats = solve(prepared, eps2)
+        mp = _max_principle(field, prepared, eps2)
+        solves = [_solve_record(field, stats)]
+        ref = field.values
+        del field
         est = None
         if half is not None:  # x-part at the n_y / 2 rows, then the y-part
-            est = _self_convergence(rows[-1] if r > 1 else ref[:, ::2],
-                                    solve(half, eps2)[0].values)
-            if r > 1:
-                coarser = (4.0 * rows[1][:, ::2] - rows[2]) / 3.0
-                est += float(np.max(np.abs(ref[:, ::2] - coarser))) / 15.0
-                del coarser
-        del rows
+            coarse_u = solve(coarse, eps2)[0].values if fitted else ref[:, ::2]
+            est = _self_convergence(coarse_u, solve(half, eps2)[0].values)
+            if fitted:
+                est += float(np.max(np.abs(ref[:, ::2] - coarse_u))) / 15.0
+            del coarse_u
         yield ref, mp, est, solves
         del ref  # before the next solve
 
@@ -323,11 +310,10 @@ def remainder_norms(p: ProblemSpec, eps2_list: Sequence[float], orders: Sequence
                     refine: Literal[1, "auto"] = "auto") -> ErrorReport:
     """Measure ||u_ref - u[2n]||_inf for every (eps^2, order) pair.
 
-    One reference per eps^2 serves all orders; r is its y-refinement factor.
-    ``refine=1`` takes r = 1, a single five-point solve on ``grid``.
-    ``refine="auto"`` (the default) takes r = 2: the y-Richardson
-    extrapolation of layer-exact fitted solves with twice and once the
-    y-cells of ``grid``, sampled at the output rows (module docstring).
+    One reference per eps^2 serves all orders, one solve on ``grid``:
+    ``refine=1`` takes the five-point scheme, ``refine="auto"`` (the
+    default) the layer-exact fitted scheme (module docstring); ``scheme``
+    names it.
 
     The norms run over the solved rows 1..n_y - 1; the Dirichlet rows, where
     the reference equals the data, are reported as ``dirichlet_errors``.
@@ -340,7 +326,7 @@ def remainder_norms(p: ProblemSpec, eps2_list: Sequence[float], orders: Sequence
     is reached and ``tail_magnitudes`` the |c_K| of the boundary and force
     series (``ErrorReport``).  ``reference_solves`` lists,
     per eps^2, the grid, transform-solve count, relative residual and
-    residual floor of each solve the reference values come from.  Slopes
+    residual floor of the solve the reference values come from.  Slopes
     come from a least-squares fit across the eps^2 values, which therefore
     must contain at least three strictly increasing positive entries.
 
@@ -378,15 +364,13 @@ def remainder_norms(p: ProblemSpec, eps2_list: Sequence[float], orders: Sequence
     ys = grid.y_nodes()
 
     # once per sweep: the expansion base with its force coefficients at the
-    # output rows, and the finest level's samples of the data
+    # output rows, and the output grid's samples of the data
     for e in eps_values:
         _check_eps(e)
     base = _ExpansionBase(p, orders[-1], n_modes, quad_points)
     approxes = [[ExpansionResult(base, e, n) for n in orders] for e in eps_values]
     raw = base.force_coeffs(ys)
-    r = 1 if refine == 1 else 2
-    references = _references(p, _PreparedGrid(p, Grid2D(n_x=grid.n_x, n_y=grid.n_y * r)),
-                             r, eps_sq)
+    references = _references(p, _PreparedGrid(p, grid), refine == "auto", eps_sq)
 
     norms = {n: [] for n in orders}
     dirichlet = {n: [] for n in orders}
@@ -430,8 +414,7 @@ def remainder_norms(p: ProblemSpec, eps2_list: Sequence[float], orders: Sequence
         max_principle=mp_results,
         grid=grid,
         n_modes=n_modes,
-        reference_grid=Grid2D(n_x=grid.n_x, n_y=grid.n_y * r),
-        refinement=r,
+        scheme="five-point" if refine == 1 else "fitted",
         dirichlet_errors=dirichlet,
         reference_solves=solves,
         argmax=argmax,

@@ -174,7 +174,10 @@ def test_convergence_default_keeps_single_solve_norms(tmp_path, capsys):
     assert _table_norms(out) == expected
     sidecar = json.loads((tmp_path / "table.json").read_text())
     assert sidecar["meta"]["refine"] == 1
-    assert sidecar["reference"]["grid"] == {"n_x": 64, "n_y": 32}
+    solves = sidecar["reference"].pop("solves")
+    assert sidecar["reference"] == {"scheme": "five-point"}
+    assert [[s["grid"] for s in eps_solves] for eps_solves in solves] == \
+        [[{"n_x": 64, "n_y": 32}]] * 3
     # dy = 1/32 does not resolve the layers: the flagged cells are named
     err = capsys.readouterr().err
     assert "warning" in err and "eps2=0.02/r2" in err and "--refine auto" in err
@@ -190,10 +193,10 @@ def test_convergence_refine_auto_records_solved_grid(tmp_path, capsys):
     assert sidecar["meta"]["refine"] == "auto"
     assert "# refine: auto" in out.read_text()
     solves = sidecar["reference"].pop("solves")
-    assert sidecar["reference"] == {"grid": {"n_x": 64, "n_y": 64}, "refinement": 2}
-    # per eps^2, the two y-levels the extrapolation comes from, each certified
+    assert sidecar["reference"] == {"scheme": "fitted"}
+    # per eps^2, the one fitted solve on the output grid, certified
     assert [[s["grid"] for s in eps_solves] for eps_solves in solves] == \
-        [[{"n_x": 64, "n_y": 64}, {"n_x": 64, "n_y": 32}]] * 3
+        [[{"n_x": 64, "n_y": 32}]] * 3
     for s in (s for eps_solves in solves for s in eps_solves):
         assert s["iterations"] == 1
         assert s["relative_residual"] <= 1e-11 + s["residual_floor"]
@@ -231,7 +234,7 @@ def test_refine_auto_warning_names_the_estimate(tmp_path, capsys):
     out = tmp_path / "table.csv"
     assert run(_AUTO_SWEEP + ["--nx", "16", "--ny", "16", "--out", str(out)]) == 0
     sidecar = json.loads((tmp_path / "table.json").read_text())
-    assert sidecar["reference"]["refinement"] == 2
+    assert sidecar["reference"]["scheme"] == "fitted"
     err = capsys.readouterr().err
     assert "warning" in err and "eps2=0.02/r2" in err
     assert "error estimate exceeds a tenth of the norm" in err

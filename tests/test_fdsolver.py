@@ -251,7 +251,7 @@ class TestCoarsenedLevel:
             fresh = fdsolver._PreparedGrid(p, Grid2D(n_x, 8 * r // stride))
             assert coarse.grid == fresh.grid
             assert coarse._rhs.flags.c_contiguous
-            for name in ("_rhs", "_mu", "_lam", "bottom", "top"):
+            for name in ("_rhs", "_f_rows", "_mu", "_lam", "bottom", "top"):
                 a, b = getattr(coarse, name), getattr(fresh, name)
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
             assert (coarse._inv_dx2, coarse._inv_dy2, coarse._zero) == (
@@ -294,13 +294,16 @@ class TestFittedSolve:
 
     def test_tiny_eps_reaches_the_limit(self):
         # every x-mode k > 0 goes to 0, leaving the x-mean of the data: the
-        # three-point solve in y of the x-node means of f, phi0 and phi1
+        # three-point solve in y of the x-node means of phi0, phi1 and f, the
+        # latter Numerov-weighted, b_j + (b_{j-1} - 2 b_j + b_{j+1}) / 12, with
+        # f's means on y = 0 and 1 as the end values
         p = builtin_problem("paper")
         grid = Grid2D(16, 16)
         xs, ys = grid.x_nodes(), grid.y_nodes()
         m = grid.n_y - 1
         a = (2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)) / grid.dy**2
-        b = p.f(xs[:, None], ys[None, 1:-1]).mean(axis=0)
+        f_means = p.f(xs[:, None], ys[None, :]).mean(axis=0)
+        b = f_means[1:-1] + np.diff(f_means, 2) / 12.0
         b[0] += p.phi0(xs).mean() / grid.dy**2
         b[-1] += p.phi1(xs).mean() / grid.dy**2
         limit = np.concatenate([[p.phi0(xs).mean()], np.linalg.solve(a, b),
@@ -311,6 +314,18 @@ class TestFittedSolve:
                 field, _ = prepared.solve_fitted(eps2)
             interior = field.values[:, 1:-1]
             assert np.max(np.abs(interior - limit[1:-1])) <= 1e-13, eps2
+
+    def test_forcing_is_fourth_order_in_y(self):
+        # a smooth forcing with a layer at eps^2 = 0.01: against 16 x 1024 at
+        # the shared rows, each halving of dy divides the error by about 16
+        pi = np.pi
+        p = ProblemSpec(f=lambda x, y: np.cos(pi * x) * np.exp(y) + y**2,
+                        phi0=lambda x: np.cos(pi * x), phi1=lambda x: 0.5 + 0 * x, eps=0.1)
+        fine = self._solve(p, Grid2D(16, 1024), 0.01)[0].values
+        errors = [np.max(np.abs(self._solve(p, Grid2D(16, n_y), 0.01)[0].values
+                                - fine[:, ::1024 // n_y]))
+                  for n_y in (16, 32, 64)]
+        assert errors[0] >= 12.0 * errors[1] and errors[1] >= 12.0 * errors[2]
 
     def test_perturbed_inverse_transform_is_no_convergence(self, monkeypatch):
         # a solve 1e-6 off fails the certificate after its one transform solve

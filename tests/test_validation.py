@@ -219,7 +219,7 @@ class TestRemainderNorms:
         eps2 = [0.05, 0.1, 0.2]
         grid = Grid2D(64, 2048)
         report = remainder_norms(p, eps2, [0, 1], grid, quad_points=256, refine=1)
-        assert report.refinement == 1 and report.reference_grid == grid
+        assert report.scheme == "five-point"
         xs, ys = grid.x_nodes(), grid.y_nodes()
         for i, e2 in enumerate(eps2):
             p_eps = p.with_eps(float(np.sqrt(e2)))
@@ -282,8 +282,7 @@ class TestRemainderNorms:
         kwargs = dict(n_modes=16, quad_points=256)
         report = remainder_norms(p, eps2, [0, 1], grid, **kwargs)
         plain = remainder_norms(p, eps2, [0, 1], grid, refine=1, **kwargs)
-        assert report.refinement == 2
-        assert report.reference_grid == Grid2D(128, 64)
+        assert report.scheme == "fitted"
         xs, ys = grid.x_nodes(), grid.y_nodes()
         for i, e2 in enumerate(eps2):
             # finer check: 3x the x-cells (nodes 1::3 nest) and twice the y-cells
@@ -309,7 +308,7 @@ class TestRemainderNorms:
         kwargs = dict(n_modes=16, quad_points=128)
         report = remainder_norms(p, eps2, [0, 1], Grid2D(15, 32), **kwargs)
         plain = remainder_norms(p, eps2, [0, 1], Grid2D(15, 32), refine=1, **kwargs)
-        assert report.refinement == 2 and plain.refinement == 1
+        assert report.scheme == "fitted" and plain.scheme == "five-point"
         for n in (0, 1):
             assert report.norms[n] == pytest.approx(plain.norms[n], rel=0, abs=1e-13)
         # an odd n_x has no half grid, so no estimate was made: None, which
@@ -330,7 +329,7 @@ class TestRemainderNorms:
         # none exists it is None and flags nothing
         report = remainder_norms(builtin_problem("paper"), [0.05, 0.1, 0.2], [0], grid,
                                  n_modes=8, quad_points=64, refine=refine)
-        assert (report.refinement > 1) == (refine == "auto")
+        assert (report.scheme == "fitted") == (refine == "auto")
         if made:
             assert all(e > 0.0 for e in report.fd_error_estimates)
         else:
@@ -371,7 +370,7 @@ class TestSweepSharesEpsFreeWork:
             report = remainder_norms(p, eps2, [0, 1], Grid2D(16, 32), n_modes=8,
                                      quad_points=64, refine=refine)
             counts.append(sum(calls))
-        assert report.refinement == (1 if refine == 1 else 2)
+        assert report.scheme == ("five-point" if refine == 1 else "fitted")
         assert counts[0] == counts[1]
 
     def test_five_point_sweep_transforms_each_grid_once(self, monkeypatch):
@@ -385,9 +384,9 @@ class TestSweepSharesEpsFreeWork:
         assert len(calls) == 2
 
     def test_auto_sweep_samples_f_on_no_coarser_y_level(self):
-        # on 16 x 32, f is sampled on the finest level (16 x 64) and on the
-        # half grid (8 x 16); the y-levels 32 and 16 take the finest level's
-        # samples
+        # on 16 x 32, f is sampled on the output grid and on the half grid
+        # (8 x 16); the y-level 16 takes the output grid's samples, and no
+        # finer level is sampled
         shapes = []
         p = builtin_problem("paper")
 
@@ -398,9 +397,9 @@ class TestSweepSharesEpsFreeWork:
 
         report = remainder_norms(dataclasses.replace(p, f=f), [0.02, 0.05, 0.1], [0, 1],
                                  Grid2D(16, 32), n_modes=8, quad_points=64)
-        assert report.refinement == 2
-        assert (16, 63) in shapes and (8, 15) in shapes
-        assert not {(16, 31), (16, 15)} & set(shapes)
+        assert report.scheme == "fitted"
+        assert (16, 31) in shapes and (8, 15) in shapes
+        assert not {(16, 63), (16, 15)} & set(shapes)
 
     def test_only_the_finest_level_is_maximum_principle_checked(self, monkeypatch):
         checked = []
@@ -413,8 +412,8 @@ class TestSweepSharesEpsFreeWork:
         monkeypatch.setattr(validation, "_max_principle", record)
         report = remainder_norms(builtin_problem("paper"), [0.02, 0.05, 0.1], [0],
                                  Grid2D(16, 32), n_modes=8, quad_points=64)
-        assert report.refinement == 2
-        assert checked == [Grid2D(16, 64)] * 3
+        assert report.scheme == "fitted"
+        assert checked == [Grid2D(16, 32)] * 3
 
     @pytest.mark.parametrize("grid, eps2, kwargs", [
         # the 128 x 32 sweep of test_under_resolved_grid_gets_accurate_reference
@@ -427,7 +426,7 @@ class TestSweepSharesEpsFreeWork:
         # documents
         p = builtin_problem("paper")
         report = remainder_norms(p, eps2, [0, 1], grid, **kwargs)
-        assert report.refinement == 2
+        assert report.scheme == "fitted"
         n_x, n_y = grid.n_x, grid.n_y
         xs, ys = grid.x_nodes(), grid.y_nodes()
 
@@ -438,17 +437,14 @@ class TestSweepSharesEpsFreeWork:
 
         for i, e2 in enumerate(eps2):
             p_eps = p.with_eps(float(np.sqrt(e2)))
-            fine, fine_record = solve(p_eps, n_x, 2 * n_y)
-            mp = max_principle_check(Field2D(Grid2D(n_x, 2 * n_y), fine), p_eps)
-            mid, mid_record = solve(p_eps, n_x, n_y)
+            ref, record = solve(p_eps, n_x, n_y)
+            mp = max_principle_check(Field2D(grid, ref), p_eps)
             coarse, _ = solve(p_eps, n_x, n_y // 2)
             half_x, _ = solve(p_eps, n_x // 2, n_y // 2)
-            ref = (4.0 * fine[:, ::2] - mid) / 3.0
-            coarser = (4.0 * mid[:, ::2] - coarse) / 3.0
-            est_y = float(np.max(np.abs(ref[:, ::2] - coarser))) / 15.0
+            est_y = float(np.max(np.abs(ref[:, ::2] - coarse))) / 15.0
             est_x = float(np.max(np.abs(half_x - validation._restrict_x(coarse)))) / 3.0
-            assert report.fd_error_estimates[i] == est_y + est_x
-            assert report.reference_solves[i] == [fine_record, mid_record]
+            assert report.fd_error_estimates[i] == est_x + est_y
+            assert report.reference_solves[i] == [record]
             assert (report.max_principle[i].bound, report.max_principle[i].max_abs) == (
                 mp.bound, mp.max_abs)
             for n in (0, 1):
