@@ -7,16 +7,28 @@ The solution admits the stochastic representation
 where X moves as a Brownian motion sped up by 1/eps and reflected at the
 Neumann sides x = 0, 1, Y is a standard Brownian motion absorbed at the
 Dirichlet sides y = 0, 1, and tau is the absorption time.  Paths are advanced
-by Euler-Maruyama; reflection is applied through the exact folding map of the
-line onto [0, 1], and the running force integral uses the left-endpoint rule.
+by the simplified weak Euler scheme (Kloeden & Platen 1992, section 14.1):
+Y takes Gaussian steps sqrt(dt) Z, and X takes uniform steps
+sqrt(3) h (2U - 1) with h = sqrt(dt) / eps, which match the Gaussian's first
+three moments and so keep weak order 1.  Reflection is applied through the
+exact folding map of the line onto [0, 1], and the running force integral
+uses the left-endpoint rule.
 
-Paths are split into fixed-size chunks, each drawing from its own SFC64
-stream spawned from the seed.  The chunks run on all usable cores: with W
-forked worker processes, worker w runs chunks w, w + W, w + 2W, ... and
-pipes each result back to the calling process, which runs chunks itself only
-when it is the only worker.  A chunk's result depends only on its stream, so
-the estimate is bit-identical for a given seed and config whatever the
-number of workers.
+While more than ``_TAIL_PATHS`` paths are live, each pass advances every live
+path by one step.  At or below it, each pass advances a block of
+``max(1, _TAIL_BLOCK // n)`` steps for the n live paths at once: cumulative
+sums of the increments, folded once (exact in law for symmetric steps), with
+each path retired at the first row where it exits.  This keeps the per-call
+overhead of the sparse tail off the few long-lived paths.
+
+``n_paths`` is split into chunks of at most ``_CHUNK`` paths, an even number
+of them unless one suffices, with sizes that differ by at most one; each
+chunk draws from its own SFC64 stream spawned from the seed.  The chunks run
+on all usable cores: with W forked worker processes, worker w runs chunks w,
+w + W, w + 2W, ... and pipes each result back to the calling process, which
+runs chunks itself only when it is the only worker.  The chunk sizes depend
+on ``n_paths`` alone and a chunk's result only on its stream, so the estimate
+is bit-identical for a given seed and config whatever the number of workers.
 """
 
 from __future__ import annotations
@@ -36,6 +48,8 @@ DEFAULT_PATHS = 10_000
 MAX_DT = 1e-3
 MIN_PATHS = 100
 _CHUNK = 20_000
+_TAIL_PATHS = 512  # at or below this many live paths, advance in blocks
+_TAIL_BLOCK = 2**14  # path-steps per block
 
 
 @dataclass(frozen=True)
@@ -96,8 +110,9 @@ class McEstimate:
 def reflect_unit_interval(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Fold the real line onto [0, 1] by reflection at both endpoints.
 
-    ``out`` may be ``x`` itself.  For |x| < 2 the fold is min(|x|, 2 - |x|);
-    larger arguments are first reduced mod 2.
+    ``x`` may have any shape, and ``out`` may be ``x`` itself.  For |x| < 2
+    the fold is min(|x|, 2 - |x|); if any entry is larger, every entry is
+    first reduced mod 2.
     """
     a = np.abs(x, out=out)
     if np.maximum.reduce(a, axis=None, initial=0.0) >= 2.0:
@@ -126,9 +141,10 @@ def estimate_point(p: ProblemSpec, x0: float, y0: float, cfg: McConfig) -> McEst
     if not 0.0 <= x0 <= 1.0:
         raise ValueError(f"x0 must lie in [0, 1], got {x0}")
 
-    n_chunks = -(-cfg.n_paths // _CHUNK)
-    job = (p, float(x0), float(y0), cfg, np.random.SeedSequence(cfg.seed).spawn(n_chunks))
-    chunks = list(forked_map(_run_indexed_chunk, job, n_chunks))
+    sizes = _chunk_sizes(cfg.n_paths)
+    streams = np.random.SeedSequence(cfg.seed).spawn(len(sizes))
+    job = (p, float(x0), float(y0), cfg, sizes, streams)
+    chunks = list(forked_map(_run_indexed_chunk, job, len(sizes)))
     payoffs = np.concatenate([c[0] for c in chunks])
     steps = np.concatenate([c[1] for c in chunks])
     n_exit_bottom = sum(c[2] for c in chunks)
@@ -152,11 +168,20 @@ def estimate_point(p: ProblemSpec, x0: float, y0: float, cfg: McConfig) -> McEst
     )
 
 
+def _chunk_sizes(n_paths: int) -> list[int]:
+    """Path counts of the chunks: at most ``_CHUNK`` each, an even number of
+    chunks unless one suffices, sizes differing by at most one."""
+    n_chunks = -(-n_paths // _CHUNK)
+    if n_chunks > 1:
+        n_chunks += n_chunks % 2
+    base, extra = divmod(n_paths, n_chunks)
+    return [base + (index < extra) for index in range(n_chunks)]
+
+
 def _run_indexed_chunk(job: tuple, index: int) -> tuple[np.ndarray, np.ndarray, int]:
-    p, x0, y0, cfg, streams = job
-    size = min(_CHUNK, cfg.n_paths - index * _CHUNK)
+    p, x0, y0, cfg, sizes, streams = job
     rng = np.random.Generator(np.random.SFC64(streams[index]))
-    return _run_chunk(p, x0, y0, cfg, size, rng)
+    return _run_chunk(p, x0, y0, cfg, sizes[index], rng)
 
 
 def _run_chunk(p: ProblemSpec, x0: float, y0: float, cfg: McConfig,
@@ -166,11 +191,13 @@ def _run_chunk(p: ProblemSpec, x0: float, y0: float, cfg: McConfig,
     Returns each path's payoff and step count, in order of absorption, and
     the number of paths absorbed at y = 0.  The live paths occupy the first
     ``n`` slots of the state buffers; an absorbed path's slot is refilled
-    from the tail.
+    from the tail.  Both branches draw the x-steps, then the y-steps, then
+    any bridge uniforms, for the live slots in order; a block of one step
+    therefore advances exactly as a single step does.
     """
     dt = cfg.dt
     sqrt_dt = math.sqrt(dt)
-    x_scale = sqrt_dt / p.eps
+    x_half_width = math.sqrt(3.0 * dt) / p.eps  # sqrt(3) h
 
     x = np.full(size, x0)
     y = np.full(size, y0)
@@ -185,49 +212,95 @@ def _run_chunk(p: ProblemSpec, x0: float, y0: float, cfg: McConfig,
     step = 0
 
     while n:
-        step += 1
-        xs, ys, y_new = x[:n], y[:n], y_next[:n]
-        force_sum[:n] += p.f(xs, ys)
-        rng.standard_normal(out=noise[:2 * n])
-        dx, dy = noise[:n], noise[n:2 * n]
-        dx *= x_scale
-        dx += xs
-        reflect_unit_interval(dx, out=xs)
-        dy *= sqrt_dt
-        np.add(ys, dy, out=y_new)
+        if n > _TAIL_PATHS:
+            step += 1
+            xs, ys, y_new = x[:n], y[:n], y_next[:n]
+            force_sum[:n] += p.f(xs, ys)
+            dx, dy = noise[:n], noise[n:2 * n]
+            _x_steps(rng, dx, x_half_width)
+            dx += xs
+            reflect_unit_interval(dx, out=xs)
+            rng.standard_normal(out=dy)
+            dy *= sqrt_dt
+            np.add(ys, dy, out=y_new)
 
-        y, y_next = y_next, y
-        if cfg.bridge_correction:
-            bottom, top = _bridge_exits(ys, y_new, dt, rng)
-        elif np.minimum.reduce(y_new) > 0.0 and np.maximum.reduce(y_new) < 1.0:
-            continue
+            y, y_next = y_next, y
+            if cfg.bridge_correction:
+                bottom, top = _bridge_exits(ys, y_new, dt, rng)
+            elif np.minimum.reduce(y_new) > 0.0 and np.maximum.reduce(y_new) < 1.0:
+                continue
+            else:
+                bottom, top = y_new <= 0.0, y_new >= 1.0
+            slots = exited = np.flatnonzero(bottom | top)
+            if not exited.size:
+                continue
+            at_bottom = bottom[exited]
+            xe = x[exited]
+            force_e = force_sum[exited]
+            exit_steps = step
         else:
-            bottom, top = y_new <= 0.0, y_new >= 1.0
-        exited = np.flatnonzero(bottom | top)
-        k = exited.size
-        if not k:
-            continue
+            # rows 0..rows of each block: the current state, then after each step
+            rows = max(1, _TAIL_BLOCK // n)
+            xb = np.empty((rows + 1, n))
+            yb = np.empty((rows + 1, n))
+            fb = np.empty((rows + 1, n))
+            xb[0], yb[0], fb[0] = x[:n], y[:n], force_sum[:n]
+            _x_steps(rng, xb[1:], x_half_width)
+            rng.standard_normal(out=yb[1:])
+            yb[1:] *= sqrt_dt
+            np.cumsum(xb, axis=0, out=xb)
+            reflect_unit_interval(xb, out=xb)
+            np.cumsum(yb, axis=0, out=yb)
+            fb[1:] = p.f(xb[:-1], yb[:-1])
+            np.cumsum(fb, axis=0, out=fb)
 
-        xe = x[exited]
-        at_bottom = bottom[exited]
+            if cfg.bridge_correction:
+                bottom, top = (mask.reshape(rows, n) for mask in
+                               _bridge_exits(yb[:-1].ravel(), yb[1:].ravel(), dt, rng))
+            else:
+                bottom, top = yb[1:] <= 0.0, yb[1:] >= 1.0
+            hit = bottom | top
+            first = np.argmax(hit, axis=0)  # each slot's first exiting step, 0 if none
+            slots = np.flatnonzero(hit.any(axis=0))
+            x[:n], y[:n], force_sum[:n] = xb[-1], yb[-1], fb[-1]
+            first_step = step + 1
+            step += rows
+            if not slots.size:
+                continue
+            # order the exits by step, then slot
+            exited = slots[np.argsort(first[slots], kind="stable")]
+            exit_rows = first[exited]
+            at_bottom = bottom[exit_rows, exited]
+            xe = xb[exit_rows + 1, exited]
+            force_e = fb[exit_rows + 1, exited]
+            exit_steps = first_step + exit_rows
+
+        k = exited.size
         value = np.where(at_bottom, p.phi0(xe), p.phi1(xe))
-        payoffs[n_done:n_done + k] = value + (0.5 * dt) * force_sum[exited]
-        steps[n_done:n_done + k] = step
+        payoffs[n_done:n_done + k] = value + (0.5 * dt) * force_e
+        steps[n_done:n_done + k] = exit_steps
         n_done += k
         n_bottom += int(np.count_nonzero(at_bottom))
 
         # refill the holes below the new live count from the survivors above it
         n -= k
-        n_holes = int(np.searchsorted(exited, n))
+        n_holes = int(np.searchsorted(slots, n))
         if n_holes:
             survivor = np.ones(k, dtype=bool)
-            survivor[exited[n_holes:] - n] = False
-            holes = exited[:n_holes]
+            survivor[slots[n_holes:] - n] = False
+            holes = slots[:n_holes]
             sources = n + np.flatnonzero(survivor)
             for state in (x, y, force_sum):
                 state[holes] = state[sources]
 
     return payoffs, steps, n_bottom
+
+
+def _x_steps(rng: np.random.Generator, out: np.ndarray, half_width: float) -> None:
+    """Fill ``out`` with steps uniform on [-half_width, half_width)."""
+    rng.random(out=out)
+    out -= 0.5
+    out *= 2.0 * half_width
 
 
 def _bridge_exits(y: np.ndarray, y_new: np.ndarray, dt: float,

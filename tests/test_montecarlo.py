@@ -53,13 +53,18 @@ def test_reflection_folds_line_onto_unit_interval():
 
 def test_fast_fold_agrees_with_general_fold():
     # inputs below 2 in magnitude take the fast fold; one larger entry sends
-    # the whole array through the mod-2 reduction
+    # the whole array through the mod-2 reduction.  The blocked tail folds
+    # (steps, paths) blocks of cumulative sums, so 2-D blocks are checked too.
     rng = np.random.default_rng(1)
     small = rng.uniform(-2.0, 2.0, size=10_000)
     small[:4] = (-1.0, 1.0, 0.0, np.nextafter(2.0, 0.0))
     general = reflect_unit_interval(np.append(small, 7.0))[:-1]
     assert np.array_equal(reflect_unit_interval(small), general)
-    for x in (small, rng.uniform(-7.0, 7.0, size=10_000)):
+    block = rng.uniform(-1.5, 1.5, size=(64, 300))
+    block[5, 7], block[40, 0], block[63, 299] = 2.0, -9.25, 37.5
+    rows = np.stack([reflect_unit_interval(row) for row in block])
+    assert np.array_equal(reflect_unit_interval(block), rows)
+    for x in (small, rng.uniform(-7.0, 7.0, size=10_000), block):
         m = np.mod(np.abs(x), 2.0)
         expected = np.where(m > 1.0, 2.0 - m, m)
         assert np.array_equal(reflect_unit_interval(x), expected)
@@ -87,8 +92,9 @@ def test_parallel_chunks_match_serial_rebuild(monkeypatch, bridge):
     assert multiprocessing.active_children() == []
 
     payoffs, steps, n_bottom = [], [], 0
-    for index, stream in enumerate(np.random.SeedSequence(4).spawn(4)):
-        size = min(montecarlo._CHUNK, n_paths - index * montecarlo._CHUNK)
+    sizes = montecarlo._chunk_sizes(n_paths)
+    assert len(sizes) == 4
+    for size, stream in zip(sizes, np.random.SeedSequence(4).spawn(4)):
         rng = np.random.Generator(np.random.SFC64(stream))
         pay, st, bottom = montecarlo._run_chunk(p, 0.25, 0.1, cfg, size, rng)
         payoffs.append(pay)
@@ -105,7 +111,22 @@ def test_parallel_chunks_match_serial_rebuild(monkeypatch, bridge):
     assert estimate_point(p, 0.25, 0.1, cfg) == est
 
 
-def _three_chunk_estimate():
+def test_chunk_sizes_are_even_in_count_and_near_equal():
+    chunk = montecarlo._CHUNK
+    assert montecarlo._chunk_sizes(100) == [100]
+    assert montecarlo._chunk_sizes(chunk) == [chunk]
+    assert montecarlo._chunk_sizes(chunk + 1) == [chunk // 2 + 1, chunk // 2]
+    assert montecarlo._chunk_sizes(2 * chunk) == [chunk, chunk]
+    assert montecarlo._chunk_sizes(100_000) == [16_667] * 4 + [16_666] * 2
+    for n_paths in (chunk + 1, 3 * chunk + 7, 5 * chunk, 7 * chunk - 1, 10 * chunk + 3):
+        sizes = montecarlo._chunk_sizes(n_paths)
+        assert len(sizes) % 2 == 0
+        assert sum(sizes) == n_paths
+        assert max(sizes) <= chunk
+        assert max(sizes) - min(sizes) <= 1
+
+
+def _four_chunk_estimate():
     p = builtin_problem("paper", eps=0.3)
     return estimate_point(p, 0.25, 0.1,
                           McConfig(dt=1e-3, n_paths=2 * montecarlo._CHUNK + 1, seed=6))
@@ -115,8 +136,34 @@ def test_daemonic_caller_runs_chunks_itself(monkeypatch):
     # a daemonic process may not start children, so it runs every chunk
     _usable_cores(monkeypatch, 2)
     with multiprocessing.get_context("fork").Pool(1) as pool:
-        in_daemon = pool.apply_async(_three_chunk_estimate).get(timeout=120)
-    assert in_daemon == _three_chunk_estimate()
+        in_daemon = pool.apply_async(_four_chunk_estimate).get(timeout=120)
+    assert in_daemon == _four_chunk_estimate()
+
+
+def _force_blocked_tail(monkeypatch, block=montecarlo._TAIL_BLOCK):
+    """Send every step of every chunk through the blocked tail."""
+    monkeypatch.setattr(montecarlo, "_TAIL_PATHS", montecarlo._CHUNK + 1)
+    monkeypatch.setattr(montecarlo, "_TAIL_BLOCK", block)
+
+
+@pytest.mark.parametrize("bridge", [False, True])
+def test_one_step_blocks_match_single_steps(monkeypatch, bridge):
+    # both branches draw x, then y, then any bridge uniforms for the same
+    # live slots, so blocks of one step reproduce the per-step loop exactly
+    p = builtin_problem("paper", eps=0.3)
+    cfg = McConfig(dt=1e-3, n_paths=3000, seed=4, bridge_correction=bridge)
+
+    def run():
+        rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(4)))
+        return montecarlo._run_chunk(p, 0.25, 0.1, cfg, 3000, rng)
+
+    monkeypatch.setattr(montecarlo, "_TAIL_PATHS", 0)
+    payoffs, steps, n_bottom = run()
+    _force_blocked_tail(monkeypatch, block=1)
+    blocked_payoffs, blocked_steps, blocked_bottom = run()
+    assert np.array_equal(blocked_payoffs, payoffs)
+    assert np.array_equal(blocked_steps, steps)
+    assert blocked_bottom == n_bottom
 
 
 def _in_worker(failure):
@@ -179,6 +226,11 @@ def test_gamblers_ruin_probability():
     assert abs(est.mean - 0.5) <= 3.0 * est.std_error
 
 
+def test_gamblers_ruin_probability_through_blocked_tail(monkeypatch):
+    _force_blocked_tail(monkeypatch)
+    test_gamblers_ruin_probability()
+
+
 def test_json_round_trip_fields():
     import json
 
@@ -231,13 +283,33 @@ def test_layer_signature_decays_away_from_boundary():
         assert gaps[i + 1] < gaps[i] + noise
 
 
-def test_agrees_with_fd_reference_at_interior_point():
-    eps2 = 0.05
-    p = builtin_problem("paper", eps=float(np.sqrt(eps2)))
+def _fd_value_at_center(p):
     grid = Grid2D(128, 128)
     field, _ = solve_fd(p, grid)
     # x = 0.5 sits midway between the two central half-integer nodes
     i = grid.n_x // 2
-    fd_value = 0.5 * (field.values[i - 1, grid.n_y // 2] + field.values[i, grid.n_y // 2])
+    return 0.5 * (field.values[i - 1, grid.n_y // 2] + field.values[i, grid.n_y // 2])
+
+
+def test_agrees_with_fd_reference_at_interior_point():
+    eps2 = 0.05
+    p = builtin_problem("paper", eps=float(np.sqrt(eps2)))
+    fd_value = _fd_value_at_center(p)
     est = estimate_point(p, 0.5, 0.5, McConfig(dt=1e-4, n_paths=20_000, seed=5))
+    assert abs(est.mean - fd_value) <= 3.0 * est.std_error
+
+
+def test_agrees_with_fd_reference_through_blocked_tail(monkeypatch):
+    _force_blocked_tail(monkeypatch)
+    test_agrees_with_fd_reference_at_interior_point()
+
+
+def test_unit_x_step_agrees_with_fd_reference():
+    # h = sqrt(dt) / eps = 1: an x-walk of +-h steps from x = 0.5 would never
+    # leave 0.5 and miss the x-average of f by dozens of standard errors
+    eps2, dt = 1e-3, 1e-3
+    p = builtin_problem("paper", eps=float(np.sqrt(eps2)))
+    fd_value = _fd_value_at_center(p)
+    est = estimate_point(p, 0.5, 0.5, McConfig(dt=dt, n_paths=20_000, seed=8,
+                                               bridge_correction=True))
     assert abs(est.mean - fd_value) <= 3.0 * est.std_error
