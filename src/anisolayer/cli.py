@@ -203,8 +203,11 @@ def _meta(args: argparse.Namespace) -> dict:
     return meta
 
 
-def _write_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, allow_nan=False)
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, allow_nan=False)
+
+
+def _write_json(text: str, out: str | None) -> None:
     if out is None:
         print(text)
     else:
@@ -281,10 +284,12 @@ def _cmd_convergence(args) -> int:
         n_modes=args.modes, quad_points=args.quad_points, refine=args.refine,
     )
     meta = _meta(args)
+    # the sidecar's text first: if it fails, no CSV is left without its sidecar
+    sidecar = _json_text({**report.sidecar_dict(), "meta": meta})
     with open(args.out, "w", encoding="utf-8") as fh:
         report.write_csv(fh, metadata=meta)
     sidecar_path = _sidecar_path(args.out)
-    _write_json({**report.sidecar_dict(), "meta": meta}, sidecar_path)
+    _write_json(sidecar, sidecar_path)
     print(f"wrote remainder table to {args.out} and slopes to {sidecar_path}")
     for n in report.orders:
         fit = report.slopes[n]
@@ -308,7 +313,7 @@ def _cmd_mc(args) -> int:
     estimate = estimate_point(p, args.x, args.y, cfg)
     payload = json.loads(estimate.to_json())
     payload["meta"] = _meta(args)
-    _write_json(payload, args.out)
+    _write_json(_json_text(payload), args.out)
     if args.out:
         print(f"wrote estimate {estimate.mean:.6g} +/- {estimate.std_error:.2g} to {args.out}")
     return 0
@@ -327,7 +332,7 @@ def _cmd_identity(args) -> int:
         "y_samples": list(ys),
         "meta": _meta(args),
     }
-    _write_json(payload, args.out)
+    _write_json(_json_text(payload), args.out)
     if args.out:
         print(f"wrote matching-identity deviation {deviation:.3e} to {args.out}")
     return 0

@@ -24,7 +24,9 @@ limit 0, while mode 0 does not involve eps.
 The result is certified in the eps^2-rescaled form -u_xx - eps^2 u_yy =
 eps^2 f, A u = b with A = A_x + eps^2 A_y, whose scale does not blow up as
 eps -> 0: one application of A gives the true residual, which must meet the
-tolerance up to the floor that storing u in doubles causes by itself.
+tolerance up to the floor that storing u in doubles causes by itself.  Both
+schemes end in this rule (``_certificate``); an eps^2 b that underflows to 0
+leaves nothing to certify, and the solve fails.
 
 The layer-exact variant (``_PreparedGrid.solve_fitted``) changes the
 eigenvalues: mu'_k = mu_k / (1 - mu_k dx^2 / 12), the compact x-stencil (Lele,
@@ -38,13 +40,13 @@ Fitting, 2004).  It is certified x-mode by x-mode after a forward
 orthonormal DCT of u (Parseval).
 
 The work splits at eps.  Preparing one problem on one grid samples phi0,
-phi1 and f once and folds the Dirichlet rows into the unscaled right-hand
-side; none of that depends on eps.  Neither does the forward DCT-II/DST-I
-of that right-hand side, which the prepared grid computes at its first
-five-point solve and keeps.  A five-point solve for one eps^2 then runs the
-division, the two inverse transforms, the residual certificate and any
-refinement (whose residuals it transforms afresh).  The fitted solve does
-not use the kept transforms.  The transforms run single-threaded: a thread
+phi1 and f on every row once; each scheme assembles its own right-hand side
+from these eps-free samples.  The forward DCT-II/DST-I of the five-point
+one, f + (boundary rows) / dy^2, is computed at the first five-point solve
+and kept, so a five-point solve for one eps^2 runs the division, the two
+inverse transforms, the residual certificate and any refinement (whose
+residuals it transforms afresh).  The fitted solve takes the x-DCT of f on
+every row afresh.  The transforms run single-threaded: a thread
 pool would register fork handlers, which can hang ``Field2D.write_csv``'s
 forked workers.  ``solve_fd`` prepares and solves once; a convergence sweep
 prepares its output grid once, solves it for every eps^2 and takes the
@@ -194,8 +196,9 @@ def solve_fd(p: ProblemSpec, grid: Grid2D, tol: float = DEFAULT_TOL,
         The nodal solution field (Dirichlet rows included) and solve stats.
 
     Raises:
-        NoConvergence: the residual check failed after ``max_iter`` solves
-            or the residual is not finite.
+        NoConvergence: the residual check failed after ``max_iter`` solves,
+            the residual is not finite, or the rescaled right-hand side
+            underflows to 0.
         NonFiniteValue: problem data evaluated to NaN/inf on the grid.
         ValueError: ``tol`` or ``max_iter`` out of range, or eps^2
             underflows to 0.
@@ -206,14 +209,13 @@ def solve_fd(p: ProblemSpec, grid: Grid2D, tol: float = DEFAULT_TOL,
 class _PreparedGrid:
     """The eps-free part of the solves of one problem on one grid.
 
-    Samples phi0, phi1 and f once and folds the Dirichlet rows into the
-    unscaled right-hand side ``f + (boundary rows) / dy^2``, keeping f's
-    rows at y = 0, dy, 1 - dy and 1 for ``solve_fitted``; ``solve`` and
-    ``solve_fitted`` then run the eps-dependent part for any eps^2, ``solve``
-    from the forward transforms ``_rhs_hat`` that its first call keeps.  The
-    maximum principle reads ``phi_max``, max(|phi0|, |phi1|) over the
-    x-nodes, and ``sup_f``, max|f| over all of the grid's nodes, Dirichlet
-    rows included.
+    Samples phi0 and phi1 (``bottom``, ``top``) and f on all n_y + 1 rows
+    (``_f``) once, as sampled; ``solve`` and ``solve_fitted`` then each
+    assemble their own right-hand side from the samples for any eps^2,
+    ``solve`` from the forward transforms ``_rhs_hat`` that its first call
+    keeps.  The maximum principle reads ``phi_max``, max(|phi0|, |phi1|) over
+    the x-nodes, and ``sup_f``, max|f| over all of the grid's nodes,
+    Dirichlet rows included.
     """
 
     def __init__(self, p: ProblemSpec, grid: Grid2D):
@@ -222,32 +224,29 @@ class _PreparedGrid:
         bottom = check_finite(p.phi0(xs), "phi0")
         top = check_finite(p.phi1(xs), "phi1")
         self.phi_max = float(max(np.max(np.abs(bottom)), np.max(np.abs(top))))
-        rhs = np.array(check_finite(p.f(xs[:, None], ys[None, 1:-1]), "f"))
-        ends = np.asarray(p.f(xs[:, None], ys[None, [0, -1]]), dtype=float)
+        # f on the Dirichlet rows, which the five-point scheme never reads, is unchecked
+        f = np.empty((grid.n_x, grid.n_y + 1))
+        f[:, 1:-1] = check_finite(p.f(xs[:, None], ys[None, 1:-1]), "f")
+        f[:, [0, -1]] = p.f(xs[:, None], ys[None, [0, -1]])
         # max|f| without an |f| temporary; np.max keeps a NaN on the rows
-        self.sup_f = float(np.max([rhs.max(), -rhs.min(), ends.max(), -ends.min()]))
-        self._fold(grid, bottom, top, ends, rhs)
+        self.sup_f = float(np.max([f.max(), -f.min()]))
+        self._keep(grid, bottom, top, f)
 
     def coarsened(self, stride: int) -> _PreparedGrid:
         """This level with 1/stride of its y-cells, from every stride-th row of
-        its right-hand side: for a power-of-two stride, the level prepared
-        afresh, bit for bit.  Never max-principle-checked: no phi_max, sup_f."""
+        its samples of f: for a power-of-two stride, the level prepared afresh,
+        bit for bit.  Never max-principle-checked: no phi_max, sup_f."""
         coarse = object.__new__(_PreparedGrid)
-        coarse._fold(Grid2D(self.grid.n_x, self.grid.n_y // stride), self.bottom, self.top,
-                     self._f_rows[:, [0, 3]], self._rhs[:, stride - 1::stride].copy())
+        coarse._keep(Grid2D(self.grid.n_x, self.grid.n_y // stride), self.bottom, self.top,
+                     self._f[:, ::stride])
         return coarse
 
-    def _fold(self, grid: Grid2D, bottom: np.ndarray, top: np.ndarray, ends: np.ndarray,
-              rhs: np.ndarray):
-        """Fold the Dirichlet rows into ``rhs``, the interior samples of f."""
-        self.grid, self.bottom, self.top = grid, bottom, top
+    def _keep(self, grid: Grid2D, bottom: np.ndarray, top: np.ndarray, f: np.ndarray):
+        """Keep the samples and the eps-free eigenvalues of ``grid``."""
+        self.grid, self.bottom, self.top, self._f = grid, bottom, top, f
         self._inv_dx2 = 1.0 / grid.dx**2
         self._inv_dy2 = 1.0 / grid.dy**2
-        self._f_rows = np.stack([ends[:, 0], rhs[:, 0], rhs[:, -1], ends[:, 1]], axis=1)
-        rhs[:, 0] += self._inv_dy2 * bottom
-        rhs[:, -1] += self._inv_dy2 * top
-        self._rhs = rhs
-        self._zero = not rhs.any()
+        self._zero = not (f.any() or bottom.any() or top.any())
         # eigenvalues of A_x (divided by eps^2 in solve) under the DCT-II and
         # of A_y under the DST-I
         self._mu = 4.0 * self._inv_dx2 * np.sin(
@@ -255,11 +254,29 @@ class _PreparedGrid:
         self._lam = 4.0 * self._inv_dy2 * np.sin(
             np.arange(1, grid.n_y) * (np.pi / (2 * grid.n_y))) ** 2
 
+    def _five_point_rhs(self, eps2: float) -> np.ndarray:
+        """eps^2 (f + boundary rows / dy^2) on the interior, a new array: b of
+        the rescaled five-point system, or at eps^2 = 1 the unscaled one."""
+        b = self._f[:, 1:-1].copy()
+        b[:, 0] += self._inv_dy2 * self.bottom
+        b[:, -1] += self._inv_dy2 * self.top
+        b *= eps2
+        return b
+
     @cached_property
     def _rhs_hat(self) -> np.ndarray:
-        """The forward transforms of the right-hand side, which do not depend
-        on eps: computed at the first five-point solve and kept."""
-        return _forward(self._rhs.copy())
+        """The forward transforms of the unscaled five-point right-hand side, which
+        do not depend on eps: computed at the first five-point solve and kept."""
+        return _forward(self._five_point_rhs(1.0))
+
+    def _zero_solution(self, eps2: float) -> tuple[Field2D, SolveStats] | None:
+        """Reject an eps^2 of 0; the zero solution when all data vanish, else None."""
+        if eps2 == 0.0:
+            raise ValueError(f"eps^2 = {eps2!r}: eps squares to 0 in double precision")
+        if self._zero:
+            stats = SolveStats(iterations=0, relative_residual=0.0, residual_floor=0.0)
+            return self._field(np.zeros((self.grid.n_x, self.grid.n_y - 1))), stats
+        return None
 
     def solve(self, eps2: float, tol: float = DEFAULT_TOL,
               max_iter: int = DEFAULT_MAX_ITER) -> tuple[Field2D, SolveStats]:
@@ -268,11 +285,8 @@ class _PreparedGrid:
             raise ValueError(f"tol must be >= 1e-14, got {tol}")
         if max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-        if eps2 == 0.0:
-            raise ValueError(f"eps^2 = {eps2!r}: eps squares to 0 in double precision")
-        if self._zero:
-            stats = SolveStats(iterations=0, relative_residual=0.0, residual_floor=0.0)
-            return self._field(np.zeros_like(self._rhs)), stats
+        if (zero := self._zero_solution(eps2)) is not None:
+            return zero
         inv_dx2 = self._inv_dx2
         beta = eps2 * self._inv_dy2
         # for tiny eps, mu_k / eps^2 overflows to inf and sends mode k to its
@@ -290,37 +304,26 @@ class _PreparedGrid:
             out = idst(out, type=1, axis=1, overwrite_x=True)
             return idct(out, type=2, axis=0, overwrite_x=True)
 
-        u = invert(self._rhs_hat, np.empty_like(self._rhs))
-        r = np.multiply(self._rhs, eps2)  # b of the rescaled form A u = b
+        u = invert(self._rhs_hat, np.empty_like(self._rhs_hat))
+        r = self._five_point_rhs(eps2)
         rhs_norm = _norm(r)
         for iterations in range(1, max_iter + 1):
             _subtract_operator(r, u, inv_dx2, beta)
-            residual = _norm(r)
-            floor = 16.0 * _EPS_MACH * (inv_dx2 + beta) * _norm(u)
-            accepted = math.isfinite(residual) and residual <= tol * rhs_norm + floor
-            if accepted or not math.isfinite(residual) or iterations == max_iter:
+            stats = _certificate("five-point", _norm(r), rhs_norm, _norm(u), inv_dx2 + beta,
+                                 tol, iterations, final=iterations == max_iter)
+            if stats is not None:
                 break
             r /= eps2
             u += invert(_forward(r), r)
-            r = np.multiply(self._rhs, eps2)
+            r = self._five_point_rhs(eps2)
         del r
-        rel, rel_floor = residual / rhs_norm, floor / rhs_norm
-        if not accepted:
-            raise NoConvergence(
-                f"five-point solve residual {rel:.3e} exceeds tol {tol:.1e} + floor "
-                f"{rel_floor:.3e} after {iterations} transform solve(s)"
-            )
-        stats = SolveStats(iterations=iterations, relative_residual=rel, residual_floor=rel_floor)
         return self._field(u), stats
 
     def solve_fitted(self, eps2: float) -> tuple[Field2D, SolveStats]:
         """The layer-exact solution (module docstring): one transform solve,
         certified at ``DEFAULT_TOL`` as ``solve`` certifies, or NoConvergence."""
-        if eps2 == 0.0:
-            raise ValueError(f"eps^2 = {eps2!r}: eps squares to 0 in double precision")
-        if self._zero:
-            stats = SolveStats(iterations=0, relative_residual=0.0, residual_floor=0.0)
-            return self._field(np.zeros_like(self._rhs)), stats
+        if (zero := self._zero_solution(eps2)) is not None:
+            return zero
         mu = self._mu / (1.0 - self._mu * (self.grid.dx**2 / 12.0))
         beta = eps2 * self._inv_dy2
         # as eps -> 0, mu'_k / eps^2 overflows to inf and sigma_k underflows to
@@ -337,16 +340,16 @@ class _PreparedGrid:
             weight = 1.0 / 12.0 - s2 / 240.0
             wide = s2 >= 1e-4
             weight[wide] = (1.0 - sigma[wide]) / s2[wide]
-            # g + beta_k delta_y^2 g from f's own rows, then the Dirichlet rows
-            # of u, which enter mode k scaled by sigma_k
-            g = dct(self._f_rows, type=2, axis=0, norm="ortho")
-            b = dct(self._rhs, type=2, axis=0, norm="ortho")
-            b[:, 0], b[:, -1] = g[:, 1], g[:, 2]
+            # g + beta_k delta_y^2 g from the x-DCT g of f on every row, then
+            # the Dirichlet rows of u, which enter mode k scaled by sigma_k;
             # over blocks of x-modes, so that the temporaries stay small
+            g = dct(self._f, type=2, axis=0, norm="ortho")
+            b = np.empty((self.grid.n_x, self.grid.n_y - 1))
             blocks = _row_blocks(b.shape)
             for rows in blocks:
-                padded = np.concatenate([g[rows, :1], b[rows], g[rows, 3:]], axis=1)
-                b[rows] += weight[rows, None] * np.diff(padded, 2, axis=1)
+                np.multiply(weight[rows, None], np.diff(g[rows], 2, axis=1), out=b[rows])
+                b[rows] += g[rows, 1:-1]
+            del g
             b[:, 0] += sigma * self._inv_dy2 * dct(self.bottom, type=2, norm="ortho")
             b[:, -1] += sigma * self._inv_dy2 * dct(self.top, type=2, norm="ortho")
             u = dst(b, type=1, axis=1)
@@ -363,15 +366,10 @@ class _PreparedGrid:
                 r -= v * (mu[rows, None] + 2.0 * c)
                 r[:, 1:] += c * v[:, :-1]
                 r[:, :-1] += c * v[:, 1:]
-            residual = _norm(b)
-            floor = 16.0 * _EPS_MACH * (self._inv_dx2 + beta) * _norm(u_hat)
+            residual, u_norm = _norm(b), _norm(u_hat)
         del b, u_hat, r, v  # views too: none may live into _field
-        rel, rel_floor = residual / rhs_norm, floor / rhs_norm
-        if not (math.isfinite(residual) and residual <= DEFAULT_TOL * rhs_norm + floor):
-            raise NoConvergence(f"fitted solve residual {rel:.3e} exceeds tol "
-                                f"{DEFAULT_TOL:.1e} + floor {rel_floor:.3e}")
-        return self._field(u), SolveStats(iterations=1, relative_residual=rel,
-                                           residual_floor=rel_floor)
+        return self._field(u), _certificate("fitted", residual, rhs_norm, u_norm,
+                                            self._inv_dx2 + beta, DEFAULT_TOL, 1)
 
     def _field(self, interior: np.ndarray) -> Field2D:
         full = np.empty((self.grid.n_x, self.grid.n_y + 1))
@@ -379,6 +377,30 @@ class _PreparedGrid:
         full[:, 1:-1] = interior
         full[:, -1] = self.top
         return Field2D(grid=self.grid, values=full)
+
+
+def _certificate(scheme: str, residual: float, rhs_norm: float, u_norm: float, scale: float,
+                 tol: float, iterations: int, final: bool = True) -> SolveStats | None:
+    """The acceptance rule of both schemes: a finite residual with
+    ``||b - A u||_2 <= tol ||b||_2 + floor``, ``floor = 16 eps_mach scale
+    ||u||_2`` and ``scale`` = 1/dx^2 + beta.
+
+    Gives the ``SolveStats`` of an accepted solve, or None for a finite miss
+    that is not ``final``, which the caller may refine.  Raises NoConvergence
+    naming ``scheme`` for any other miss, and for b = 0 under a nonzero u:
+    eps^2 times the data underflowed.  A b = 0 solved by u = 0 is exact.
+    """
+    floor = 16.0 * _EPS_MACH * scale * u_norm
+    if rhs_norm == 0.0 and u_norm:
+        raise NoConvergence(f"{scheme} solve: the rescaled right-hand side eps^2 b underflows "
+                            "to 0, so no residual can certify the solve")
+    rel, rel_floor = (residual / rhs_norm, floor / rhs_norm) if rhs_norm else (0.0, 0.0)
+    if math.isfinite(residual) and residual <= tol * rhs_norm + floor:
+        return SolveStats(iterations=iterations, relative_residual=rel, residual_floor=rel_floor)
+    if final or not math.isfinite(residual):
+        raise NoConvergence(f"{scheme} solve residual {rel:.3e} exceeds tol {tol:.1e} + floor "
+                            f"{rel_floor:.3e} after {iterations} transform solve(s)")
+    return None
 
 
 def _forward(b: np.ndarray) -> np.ndarray:
@@ -402,11 +424,10 @@ def _subtract_operator(b: np.ndarray, u: np.ndarray, inv_dx2: float, beta: float
     receives its terms in the same order whatever the block size.
     """
     n = u.shape[0]
-    step = max(1, _BLOCK_ENTRIES // u.shape[1])
     centre = -2.0 * (inv_dx2 + beta)
-    for i0 in range(0, n, step):
-        i1 = min(i0 + step, n)
-        r, v = b[i0:i1], u[i0:i1]
+    for rows in _row_blocks(u.shape):
+        i0, i1 = rows.start, min(rows.stop, n)
+        r, v = b[rows], u[rows]
         r += v * centre
         r[1:] += inv_dx2 * v[:-1]
         if i0 > 0:

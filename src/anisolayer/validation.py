@@ -46,13 +46,14 @@ then for ``"auto"`` the y-level n_y / 2, then the half grid.  A five-point
 grid transforms its right-hand side forward once, at its first solve, so
 under ``refine=1`` a solve for one eps^2 runs only the division, the two
 inverse transforms and the residual certificate.  The maximum-principle
-bounds come from the output grid's samples.
+bounds come from the output grid's samples, and the report keeps one
+``SolveStats`` per eps^2, that of the output grid's solve.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import IO, Literal, Sequence
 
 import numpy as np
@@ -61,8 +62,8 @@ from scipy.fft import dct, idct
 from .errors import InsufficientPoints, NonPositiveNorm
 # composite stays importable from here: perfbench's tracer wraps it by this name
 from .expansion import ExpansionResult, _check_eps, _ExpansionBase, composite  # noqa: F401
-from .fdsolver import (CSV_FLOAT_FORMAT, DEFAULT_TOL, Field2D, Grid2D, SolveStats,
-                       _PreparedGrid, solve_fd)
+from .fdsolver import (CSV_FLOAT_FORMAT, DEFAULT_TOL, Field2D, Grid2D, _PreparedGrid,
+                       solve_fd)
 from .problem import DEFAULT_QUAD_POINTS, DecomposedProblem, ProblemSpec
 from .spectral import DEFAULT_MODES, AntiderivativeStack, analyze, mode_numbers
 
@@ -139,9 +140,12 @@ class ErrorReport:
                 for n, fit in self.slopes.items()
             },
             "grid": {"n_x": self.grid.n_x, "n_y": self.grid.n_y},
+            # a solve statistic that overflowed is null, as a missing estimate is
             "reference": {
                 "scheme": self.scheme,
-                "solves": self.reference_solves,
+                "solves": [{key: val if math.isfinite(val) else None
+                            for key, val in asdict(stats).items()}
+                           for stats in self.reference_solves],
             },
             "n_modes": self.n_modes,
             "solver_tol": DEFAULT_TOL,
@@ -263,23 +267,15 @@ def _restrict_x(values: np.ndarray) -> np.ndarray:
     return idct(coeffs, type=2, axis=0, norm="ortho")
 
 
-def _solve_record(field: Field2D, stats: SolveStats) -> dict:
-    """Grid and deterministic stats of one solve."""
-    grid = field.grid
-    return {"grid": {"n_x": grid.n_x, "n_y": grid.n_y}, "iterations": stats.iterations,
-            "relative_residual": stats.relative_residual,
-            "residual_floor": stats.residual_floor}
-
-
 def _references(p: ProblemSpec, prepared: _PreparedGrid, fitted: bool,
                 eps_sq: Sequence[float]):
-    """Yield ``(values, max_principle, error_estimate, solves)`` per eps^2.
+    """Yield ``(values, max_principle, error_estimate, stats)`` per eps^2.
 
     ``prepared`` is the output grid, solved once per eps^2 by the fitted
     scheme or, unless ``fitted``, the five-point scheme.  The estimate (None
     without a half grid) and the solve order are those of the module
-    docstring; the max-principle check covers the output grid's solve, and
-    ``solves`` records it.
+    docstring; the max-principle check and ``stats`` cover the output grid's
+    solve.
     """
     grid = prepared.grid
     solve = _PreparedGrid.solve_fitted if fitted else _PreparedGrid.solve
@@ -290,7 +286,6 @@ def _references(p: ProblemSpec, prepared: _PreparedGrid, fitted: bool,
     for eps2 in eps_sq:
         field, stats = solve(prepared, eps2)
         mp = _max_principle(field, prepared, eps2)
-        solves = [_solve_record(field, stats)]
         ref = field.values
         del field
         est = None
@@ -300,7 +295,7 @@ def _references(p: ProblemSpec, prepared: _PreparedGrid, fitted: bool,
             if fitted:
                 est += float(np.max(np.abs(ref[:, ::2] - coarse_u))) / 15.0
             del coarse_u
-        yield ref, mp, est, solves
+        yield ref, mp, est, stats
         del ref  # before the next solve
 
 
@@ -324,16 +319,15 @@ def remainder_norms(p: ProblemSpec, eps2_list: Sequence[float], orders: Sequence
     ``flagged`` marks each cell whose estimate
     exceeds a tenth of its norm.  ``argmax`` holds the node where each norm
     is reached and ``tail_magnitudes`` the |c_K| of the boundary and force
-    series (``ErrorReport``).  ``reference_solves`` lists,
-    per eps^2, the grid, transform-solve count, relative residual and
-    residual floor of the solve the reference values come from.  Slopes
+    series (``ErrorReport``).  ``reference_solves`` holds, per eps^2, the
+    ``SolveStats`` of the one solve the reference values come from.  Slopes
     come from a least-squares fit across the eps^2 values, which therefore
     must contain at least three strictly increasing positive entries.
 
     The eps-free work runs once per sweep, whatever the number of eps^2
     values: the expansion's decomposition, mean profile, boundary series and
-    force coefficients, and the sampling of f, phi0 and phi1 with the
-    right-hand sides of the grids solved (module docstring).  Each value
+    force coefficients, and the sampling of f, phi0 and phi1 on the grids
+    solved (module docstring).  Each value
     equals, bit for bit, what the same solves of freshly prepared grids and
     one ``composite`` per eps^2 give; for ``refine=1``, one ``solve_fd``.
 
@@ -380,10 +374,10 @@ def remainder_norms(p: ProblemSpec, eps2_list: Sequence[float], orders: Sequence
     solves = []
     for row in approxes:
         # not zip(references, ...): zip would hold the last tuple into the next solve
-        ref, mp, estimate, eps_solves = next(references)
+        ref, mp, estimate, stats = next(references)
         mp_results.append(mp)
         estimates.append(estimate)
-        solves.append(eps_solves)
+        solves.append(stats)
         for n, approx in zip(orders, row):
             # |ref - u[2n]| in the expansion's memory: no second grid-sized array
             diff = approx._grid_values(xs, ys, raw)

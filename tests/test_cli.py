@@ -176,8 +176,8 @@ def test_convergence_default_keeps_single_solve_norms(tmp_path, capsys):
     assert sidecar["meta"]["refine"] == 1
     solves = sidecar["reference"].pop("solves")
     assert sidecar["reference"] == {"scheme": "five-point"}
-    assert [[s["grid"] for s in eps_solves] for eps_solves in solves] == \
-        [[{"n_x": 64, "n_y": 32}]] * 3
+    # one solve per eps^2, on the output grid
+    assert len(solves) == 3 and sidecar["grid"] == {"n_x": 64, "n_y": 32}
     # dy = 1/32 does not resolve the layers: the flagged cells are named
     err = capsys.readouterr().err
     assert "warning" in err and "eps2=0.02/r2" in err and "--refine auto" in err
@@ -195,12 +195,10 @@ def test_convergence_refine_auto_records_solved_grid(tmp_path, capsys):
     solves = sidecar["reference"].pop("solves")
     assert sidecar["reference"] == {"scheme": "fitted"}
     # per eps^2, the one fitted solve on the output grid, certified
-    assert [[s["grid"] for s in eps_solves] for eps_solves in solves] == \
-        [[{"n_x": 64, "n_y": 32}]] * 3
-    for s in (s for eps_solves in solves for s in eps_solves):
+    assert len(solves) == 3 and sidecar["grid"] == {"n_x": 64, "n_y": 32}
+    for s in solves:
         assert s["iterations"] == 1
         assert s["relative_residual"] <= 1e-11 + s["residual_floor"]
-    assert sidecar["grid"] == {"n_x": 64, "n_y": 32}
     # the rows left out of the norm: K = 16 truncation of phi1 on y = 1
     for name in ("r0", "r2"):
         errors = sidecar["dirichlet_row_errors"][name]
@@ -222,6 +220,33 @@ def test_convergence_sidecar_without_estimate_is_strict_json(tmp_path):
                          parse_constant=_reject_constant)
     assert sidecar["fd_error_estimates"] == [None] * 3
     assert sidecar["flagged"] == {"r0": [False] * 3, "r2": [False] * 3}
+
+
+@pytest.mark.parametrize("refine", ["1", "auto"])
+def test_convergence_at_the_smallest_eps2_writes_null_statistics(refine, tmp_path):
+    # at eps^2 = 5e-324 the relative floor, floor / ||eps^2 b||, overflows:
+    # the sidecar writes it as null, and both files are written
+    out = tmp_path / "t.csv"
+    assert run(["convergence", "--problem", "paper", "--eps2", "5e-324,1e-300,1e-200",
+                "--nx", "16", "--ny", "16", "--modes", "4", "--quad-points", "64",
+                "--refine", refine, "--out", str(out)]) == 0
+    assert len(_table_norms(out)) == 3
+    sidecar = json.loads((tmp_path / "t.json").read_text(), parse_constant=_reject_constant)
+    solves = sidecar["reference"]["solves"]
+    assert solves[0]["residual_floor"] is None
+    assert all(value is not None for s in solves[1:] for value in s.values())
+
+
+def test_convergence_sidecar_failure_leaves_no_csv(tmp_path, monkeypatch, capsys):
+    # the sidecar's text is formed before either file is opened
+    monkeypatch.setattr("anisolayer.validation.ErrorReport.sidecar_dict",
+                        lambda self: {"x": float("nan")})
+    out = tmp_path / "t.csv"
+    assert run(["convergence", "--problem", "paper", "--eps2", "0.02,0.05,0.1",
+                "--nx", "16", "--ny", "16", "--modes", "4", "--quad-points", "64",
+                "--out", str(out)]) == 1
+    assert not out.exists() and not (tmp_path / "t.json").exists()
+    assert "JSON" in capsys.readouterr().err
 
 
 _AUTO_SWEEP = ["convergence", "--problem", "paper", "--eps2", "0.02,0.05,0.1",
@@ -269,8 +294,8 @@ def test_convergence_sidecar_reruns_are_byte_identical(tmp_path):
     assert first == (tmp_path / "b.json").read_bytes()
     solves = json.loads(first)["reference"]["solves"]
     assert len(solves) == 3
-    assert all(set(s) == {"grid", "iterations", "relative_residual", "residual_floor"}
-               for eps_solves in solves for s in eps_solves)
+    assert all(set(s) == {"iterations", "relative_residual", "residual_floor"}
+               for s in solves)
 
 
 def test_convergence_rejects_bad_refine(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import io
 import multiprocessing
@@ -18,6 +19,7 @@ from anisolayer import (
     ProblemSpec,
     builtin_problem,
     linf_distance,
+    max_principle_check,
     solve_fd,
 )
 from anisolayer import fdsolver
@@ -242,16 +244,16 @@ class TestCoarsenedLevel:
     @pytest.mark.parametrize("r", [2, 4, 8, 16])
     @pytest.mark.parametrize("n_x", [16, 15])
     def test_equals_a_freshly_prepared_level(self, problem, r, n_x):
-        # every stride-th row of the finest right-hand side, with the coarse
-        # Dirichlet rows folded in, is the level prepared from scratch
+        # every stride-th row of the finest samples is the level prepared
+        # from scratch
         p = builtin_problem(problem)
         finest = fdsolver._PreparedGrid(p, Grid2D(n_x, 8 * r))
         for stride in (s for s in (2, 4) if s <= r):
             coarse = finest.coarsened(stride)
             fresh = fdsolver._PreparedGrid(p, Grid2D(n_x, 8 * r // stride))
             assert coarse.grid == fresh.grid
-            assert coarse._rhs.flags.c_contiguous
-            for name in ("_rhs", "_f_rows", "_mu", "_lam", "bottom", "top"):
+            assert coarse._five_point_rhs(1.0).flags.c_contiguous
+            for name in ("_f", "_mu", "_lam", "bottom", "top"):
                 a, b = getattr(coarse, name), getattr(fresh, name)
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
             assert (coarse._inv_dx2, coarse._inv_dy2, coarse._zero) == (
@@ -267,6 +269,47 @@ class TestCoarsenedLevel:
         finest = fdsolver._PreparedGrid(builtin_problem("paper"), Grid2D(16, 32))
         coarse = finest.coarsened(2)
         assert not hasattr(coarse, "sup_f") and not hasattr(coarse, "phi_max")
+
+
+class TestSamples:
+    def test_f_on_the_dirichlet_rows_reaches_only_the_fitted_scheme_and_the_bound(self):
+        # f changed on y = 0 and y = 1 only: the five-point scheme never reads
+        # those rows, the fitted one weights them by beta_k, and sup|f| and
+        # the max-principle bound include them
+        p = builtin_problem("paper", eps=0.1)
+        q = dataclasses.replace(p, f=lambda x, y: np.where((y == 0.0) | (y == 1.0), 10.0,
+                                                           p.f(x, y)))
+        eps2, grid = p.eps**2, Grid2D(32, 16)
+        a, b = fdsolver._PreparedGrid(p, grid), fdsolver._PreparedGrid(q, grid)
+        (u, u_stats), (v, v_stats) = a.solve(eps2), b.solve(eps2)
+        assert u.values.tobytes() == v.values.tobytes() and u_stats == v_stats
+        fitted_a, fitted_b = a.solve_fitted(eps2)[0].values, b.solve_fitted(eps2)[0].values
+        assert np.max(np.abs(fitted_a - fitted_b)) > 1e-4
+        assert a.sup_f < 10.0 == b.sup_f
+        assert max_principle_check(v, q).bound == b.phi_max + 0.5 * (eps2 * 10.0)
+
+    def test_f_nonzero_only_on_the_dirichlet_rows(self):
+        # the five-point right-hand side is 0, solved exactly by u = 0; the
+        # fitted one is not, since beta_k weights f's rows at y = 0 and 1
+        p = ProblemSpec(f=lambda x, y: np.where(y == 0.0, 1.0, 0.0 * x), phi0=lambda x: 0 * x,
+                        phi1=lambda x: 0 * x, eps=0.1)
+        prepared = fdsolver._PreparedGrid(p, Grid2D(16, 16))
+        field, stats = prepared.solve(0.01)
+        assert not field.values.any() and stats == fdsolver.SolveStats(1, 0.0, 0.0)
+        field, stats = prepared.solve_fitted(0.01)
+        assert field.values[:, 1:-1].min() > 0.0 and stats.iterations == 1
+
+    @pytest.mark.parametrize("solve", [fdsolver._PreparedGrid.solve,
+                                       fdsolver._PreparedGrid.solve_fitted],
+                             ids=["five-point", "fitted"])
+    def test_underflowed_right_hand_side_is_no_convergence(self, solve):
+        # eps^2 f underflows to 0 at the smallest subnormal eps^2, so no
+        # relative residual is left to certify the solve
+        p = ProblemSpec(f=lambda x, y: 0.1 + 0 * x * y, phi0=lambda x: 0 * x,
+                        phi1=lambda x: 0 * x, eps=1.0)
+        prepared = fdsolver._PreparedGrid(p, Grid2D(16, 16))
+        with pytest.raises(NoConvergence, match="right-hand side eps\\^2 b underflows to 0"):
+            solve(prepared, 5e-324)
 
 
 class TestFittedSolve:
