@@ -220,11 +220,13 @@ def _sidecar_path(out: str) -> str:
 
 
 def _check_output_paths(args: argparse.Namespace) -> None:
-    """Reject an output path whose directory is missing, or that is a
-    directory, before any numerical work is spent on it."""
+    """Reject an output path that is empty, whose directory is missing, or
+    that is a directory, before any numerical work is spent on it."""
     out = getattr(args, "out", None)
     if out is None:
         return
+    if not out:
+        raise ValueError("--out must name a file, got ''")
     for path in [out, _sidecar_path(out)] if args.command == "convergence" else [out]:
         if os.path.isdir(path):
             raise ValueError(f"cannot write {path}: it is a directory")

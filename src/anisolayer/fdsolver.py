@@ -39,18 +39,19 @@ quadratic g and so fourth order in y (Ixaru & Vanden Berghe, Exponential
 Fitting, 2004).  It is certified x-mode by x-mode after a forward
 orthonormal DCT of u (Parseval).
 
-The work splits at eps.  Preparing one problem on one grid samples phi0,
-phi1 and f on every row once; each scheme assembles its own right-hand side
-from these eps-free samples.  The forward DCT-II/DST-I of the five-point
-one, f + (boundary rows) / dy^2, is computed at the first five-point solve
-and kept, so a five-point solve for one eps^2 runs the division, the two
-inverse transforms, the residual certificate and any refinement (whose
-residuals it transforms afresh).  The fitted solve takes the x-DCT of f on
-every row afresh.  The transforms run single-threaded: a thread
-pool would register fork handlers, which can hang ``Field2D.write_csv``'s
-forked workers.  ``solve_fd`` prepares and solves once; a convergence sweep
-prepares its output grid once, solves it for every eps^2 and takes the
-coarser y-level of its estimate from its samples (``_PreparedGrid.coarsened``).
+The work splits at eps.  ``_sample`` evaluates phi0, phi1 and f on one
+grid once, into a ``_PreparedGrid`` that holds these eps-free samples; each
+scheme assembles its own right-hand side from them.  The forward
+DCT-II/DST-I of the five-point one, f + (boundary rows) / dy^2, is computed
+at the first five-point solve and kept, so a five-point solve for one eps^2
+runs the division, the two inverse transforms, the residual certificate and
+any refinement (whose residuals it transforms afresh).  The fitted solve
+takes the x-DCT of f on every row afresh.  The transforms run
+single-threaded: a thread pool would register fork handlers, which can hang
+``Field2D.write_csv``'s forked workers.  ``solve_fd`` samples and solves
+once; a convergence sweep samples its output grid once, solves it for every
+eps^2 and takes the coarser y-level of its estimate from every second row of
+its samples (``_PreparedGrid.coarsened``).
 """
 
 from __future__ import annotations
@@ -203,47 +204,35 @@ def solve_fd(p: ProblemSpec, grid: Grid2D, tol: float = DEFAULT_TOL,
         ValueError: ``tol`` or ``max_iter`` out of range, or eps^2
             underflows to 0.
     """
-    return _PreparedGrid(p, grid).solve(p.eps**2, tol=tol, max_iter=max_iter)
+    return _sample(p, grid).solve(p.eps**2, tol=tol, max_iter=max_iter)
+
+
+def _sample(p: ProblemSpec, grid: Grid2D) -> _PreparedGrid:
+    """The prepared grid of ``p`` on ``grid``: phi0 and phi1 sampled on the
+    x-nodes and f on every node, once each, and checked finite."""
+    xs = grid.x_nodes()
+    ys = grid.y_nodes()
+    bottom = check_finite(p.phi0(xs), "phi0")
+    top = check_finite(p.phi1(xs), "phi1")
+    # f on the Dirichlet rows, which the five-point scheme never reads, is unchecked
+    f = np.empty((grid.n_x, grid.n_y + 1))
+    f[:, 1:-1] = check_finite(p.f(xs[:, None], ys[None, 1:-1]), "f")
+    f[:, [0, -1]] = p.f(xs[:, None], ys[None, [0, -1]])
+    return _PreparedGrid(grid, bottom, top, f)
 
 
 class _PreparedGrid:
     """The eps-free part of the solves of one problem on one grid.
 
-    Samples phi0 and phi1 (``bottom``, ``top``) and f on all n_y + 1 rows
-    (``_f``) once, as sampled; ``solve`` and ``solve_fitted`` then each
-    assemble their own right-hand side from the samples for any eps^2,
-    ``solve`` from the forward transforms ``_rhs_hat`` that its first call
-    keeps.  The maximum principle reads ``phi_max``, max(|phi0|, |phi1|) over
-    the x-nodes, and ``sup_f``, max|f| over all of the grid's nodes,
-    Dirichlet rows included.
+    Holds the samples of phi0 and phi1 on the x-nodes (``bottom``, ``top``)
+    and of f on all n_y + 1 rows (``f``), as ``_sample`` takes them, and the
+    eigenvalues of the grid.  ``solve`` and ``solve_fitted`` each assemble
+    their own right-hand side from the samples for any eps^2, ``solve`` from
+    the forward transforms ``_rhs_hat`` that its first call keeps.
     """
 
-    def __init__(self, p: ProblemSpec, grid: Grid2D):
-        xs = grid.x_nodes()
-        ys = grid.y_nodes()
-        bottom = check_finite(p.phi0(xs), "phi0")
-        top = check_finite(p.phi1(xs), "phi1")
-        self.phi_max = float(max(np.max(np.abs(bottom)), np.max(np.abs(top))))
-        # f on the Dirichlet rows, which the five-point scheme never reads, is unchecked
-        f = np.empty((grid.n_x, grid.n_y + 1))
-        f[:, 1:-1] = check_finite(p.f(xs[:, None], ys[None, 1:-1]), "f")
-        f[:, [0, -1]] = p.f(xs[:, None], ys[None, [0, -1]])
-        # max|f| without an |f| temporary; np.max keeps a NaN on the rows
-        self.sup_f = float(np.max([f.max(), -f.min()]))
-        self._keep(grid, bottom, top, f)
-
-    def coarsened(self, stride: int) -> _PreparedGrid:
-        """This level with 1/stride of its y-cells, from every stride-th row of
-        its samples of f: for a power-of-two stride, the level prepared afresh,
-        bit for bit.  Never max-principle-checked: no phi_max, sup_f."""
-        coarse = object.__new__(_PreparedGrid)
-        coarse._keep(Grid2D(self.grid.n_x, self.grid.n_y // stride), self.bottom, self.top,
-                     self._f[:, ::stride])
-        return coarse
-
-    def _keep(self, grid: Grid2D, bottom: np.ndarray, top: np.ndarray, f: np.ndarray):
-        """Keep the samples and the eps-free eigenvalues of ``grid``."""
-        self.grid, self.bottom, self.top, self._f = grid, bottom, top, f
+    def __init__(self, grid: Grid2D, bottom: np.ndarray, top: np.ndarray, f: np.ndarray):
+        self.grid, self.bottom, self.top, self.f = grid, bottom, top, f
         self._inv_dx2 = 1.0 / grid.dx**2
         self._inv_dy2 = 1.0 / grid.dy**2
         self._zero = not (f.any() or bottom.any() or top.any())
@@ -254,10 +243,22 @@ class _PreparedGrid:
         self._lam = 4.0 * self._inv_dy2 * np.sin(
             np.arange(1, grid.n_y) * (np.pi / (2 * grid.n_y))) ** 2
 
+    def coarsened(self) -> _PreparedGrid:
+        """This level with half its y-cells, from every second row of its
+        samples of f: the level sampled afresh, bit for bit.
+
+        Raises:
+            ValueError: n_y is odd, so the rows are no level of their own.
+        """
+        if self.grid.n_y % 2:
+            raise ValueError(f"cannot halve the y-cells of a grid with n_y = {self.grid.n_y}")
+        return _PreparedGrid(Grid2D(self.grid.n_x, self.grid.n_y // 2), self.bottom, self.top,
+                             self.f[:, ::2])
+
     def _five_point_rhs(self, eps2: float) -> np.ndarray:
         """eps^2 (f + boundary rows / dy^2) on the interior, a new array: b of
         the rescaled five-point system, or at eps^2 = 1 the unscaled one."""
-        b = self._f[:, 1:-1].copy()
+        b = self.f[:, 1:-1].copy()
         b[:, 0] += self._inv_dy2 * self.bottom
         b[:, -1] += self._inv_dy2 * self.top
         b *= eps2
@@ -343,7 +344,7 @@ class _PreparedGrid:
             # g + beta_k delta_y^2 g from the x-DCT g of f on every row, then
             # the Dirichlet rows of u, which enter mode k scaled by sigma_k;
             # over blocks of x-modes, so that the temporaries stay small
-            g = dct(self._f, type=2, axis=0, norm="ortho")
+            g = dct(self.f, type=2, axis=0, norm="ortho")
             b = np.empty((self.grid.n_x, self.grid.n_y - 1))
             blocks = _row_blocks(b.shape)
             for rows in blocks:

@@ -47,6 +47,7 @@ DEFAULT_DT = 1e-5
 DEFAULT_PATHS = 10_000
 MAX_DT = 1e-3
 MIN_PATHS = 100
+MAX_PATHS = 10**8  # estimate_point holds about 32 B per path at its peak
 _CHUNK = 20_000
 _TAIL_PATHS = 512  # at or below this many live paths, advance in blocks
 _TAIL_BLOCK = 2**14  # path-steps per block
@@ -64,8 +65,8 @@ class McConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.dt <= MAX_DT:
             raise ValueError(f"dt must lie in (0, {MAX_DT}], got {self.dt}")
-        if self.n_paths < MIN_PATHS:
-            raise ValueError(f"n_paths must be >= {MIN_PATHS}, got {self.n_paths}")
+        if not MIN_PATHS <= self.n_paths <= MAX_PATHS:
+            raise ValueError(f"n_paths must lie in [{MIN_PATHS}, {MAX_PATHS}], got {self.n_paths}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 

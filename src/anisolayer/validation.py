@@ -39,15 +39,15 @@ Only the divisions by eps depend on eps, so a sweep does the rest once.  One
 expansion base (the decomposition, the mean profile, the boundary-data
 series and the raw force coefficients at y = 0, 1 and at the output rows)
 serves every composite, each assembled from it by its eps prefactors.  The
-output grid and the half grid are sampled and prepared once, and for
-``"auto"`` the y-level n_y / 2 of the estimate is prepared from every second
-row of the output grid's samples.  Eps by eps, the output grid is solved,
-then for ``"auto"`` the y-level n_y / 2, then the half grid.  A five-point
-grid transforms its right-hand side forward once, at its first solve, so
-under ``refine=1`` a solve for one eps^2 runs only the division, the two
-inverse transforms and the residual certificate.  The maximum-principle
-bounds come from the output grid's samples, and the report keeps one
-``SolveStats`` per eps^2, that of the output grid's solve.
+output grid and the half grid are sampled once (``fdsolver._sample``), and
+for ``"auto"`` the y-level n_y / 2 of the estimate takes every second row of
+the output grid's samples.  Phi and sup|f| of the maximum-principle bound are
+taken once, from the output grid's samples.  Eps by eps, the output grid is
+solved, then for ``"auto"`` the y-level n_y / 2, then the half grid.  A
+five-point grid transforms its right-hand side forward once, at its first
+solve, so under ``refine=1`` a solve for one eps^2 runs only the division,
+the two inverse transforms and the residual certificate.  The report keeps
+one ``SolveStats`` per eps^2, that of the output grid's solve.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from .errors import InsufficientPoints, NonPositiveNorm
 # composite stays importable from here: perfbench's tracer wraps it by this name
 from .expansion import ExpansionResult, _check_eps, _ExpansionBase, composite  # noqa: F401
 from .fdsolver import (CSV_FLOAT_FORMAT, DEFAULT_TOL, Field2D, Grid2D, _PreparedGrid,
-                       solve_fd)
+                       _sample, solve_fd)
 from .problem import DEFAULT_QUAD_POINTS, DecomposedProblem, ProblemSpec
 from .spectral import DEFAULT_MODES, AntiderivativeStack, analyze, mode_numbers
 
@@ -192,12 +192,20 @@ def max_principle_check(u: Field2D, p: ProblemSpec) -> MaxPrincipleResult:
     Phi is the largest boundary-data magnitude and G = eps^2 sup|f|, both
     taken over the field's nodes.
     """
-    return _max_principle(u, _PreparedGrid(p, u.grid), p.eps**2)
+    return _max_principle(u, *_bound_data(_sample(p, u.grid)), p.eps**2)
 
 
-def _max_principle(u: Field2D, prepared: _PreparedGrid, eps2: float) -> MaxPrincipleResult:
-    """The check of max_principle_check, with Phi and sup|f| from ``prepared``."""
-    return MaxPrincipleResult(bound=prepared.phi_max + 0.5 * float(eps2 * prepared.sup_f),
+def _bound_data(prepared: _PreparedGrid) -> tuple[float, float]:
+    """Phi, max(|phi0|, |phi1|) over the x-nodes, and sup|f| over every node,
+    Dirichlet rows included, from the samples of ``prepared``."""
+    phi_max = float(max(np.max(np.abs(prepared.bottom)), np.max(np.abs(prepared.top))))
+    # max|f| without an |f| temporary; np.max keeps a NaN on the rows
+    return phi_max, float(np.max([prepared.f.max(), -prepared.f.min()]))
+
+
+def _max_principle(u: Field2D, phi_max: float, sup_f: float, eps2: float) -> MaxPrincipleResult:
+    """The check of max_principle_check, given Phi and sup|f|."""
+    return MaxPrincipleResult(bound=phi_max + 0.5 * float(eps2 * sup_f),
                               max_abs=float(np.max(np.abs(u.values))))
 
 
@@ -267,38 +275,6 @@ def _restrict_x(values: np.ndarray) -> np.ndarray:
     return idct(coeffs, type=2, axis=0, norm="ortho")
 
 
-def _references(p: ProblemSpec, prepared: _PreparedGrid, fitted: bool,
-                eps_sq: Sequence[float]):
-    """Yield ``(values, max_principle, error_estimate, stats)`` per eps^2.
-
-    ``prepared`` is the output grid, solved once per eps^2 by the fitted
-    scheme or, unless ``fitted``, the five-point scheme.  The estimate (None
-    without a half grid) and the solve order are those of the module
-    docstring; the max-principle check and ``stats`` cover the output grid's
-    solve.
-    """
-    grid = prepared.grid
-    solve = _PreparedGrid.solve_fitted if fitted else _PreparedGrid.solve
-    half = coarse = None
-    if _has_half_grid(grid):
-        half = _PreparedGrid(p, Grid2D(n_x=grid.n_x // 2, n_y=grid.n_y // 2))
-        coarse = prepared.coarsened(2) if fitted else None
-    for eps2 in eps_sq:
-        field, stats = solve(prepared, eps2)
-        mp = _max_principle(field, prepared, eps2)
-        ref = field.values
-        del field
-        est = None
-        if half is not None:  # x-part at the n_y / 2 rows, then the y-part
-            coarse_u = solve(coarse, eps2)[0].values if fitted else ref[:, ::2]
-            est = _self_convergence(coarse_u, solve(half, eps2)[0].values)
-            if fitted:
-                est += float(np.max(np.abs(ref[:, ::2] - coarse_u))) / 15.0
-            del coarse_u
-        yield ref, mp, est, stats
-        del ref  # before the next solve
-
-
 def remainder_norms(p: ProblemSpec, eps2_list: Sequence[float], orders: Sequence[int],
                     grid: Grid2D, n_modes: int = DEFAULT_MODES,
                     quad_points: int = DEFAULT_QUAD_POINTS,
@@ -326,10 +302,11 @@ def remainder_norms(p: ProblemSpec, eps2_list: Sequence[float], orders: Sequence
 
     The eps-free work runs once per sweep, whatever the number of eps^2
     values: the expansion's decomposition, mean profile, boundary series and
-    force coefficients, and the sampling of f, phi0 and phi1 on the grids
-    solved (module docstring).  Each value
-    equals, bit for bit, what the same solves of freshly prepared grids and
-    one ``composite`` per eps^2 give; for ``refine=1``, one ``solve_fd``.
+    force coefficients, the sampling of f, phi0 and phi1 on the grids solved
+    and the Phi and sup|f| of the maximum-principle bound (module docstring).
+    Each value equals, bit for bit, what the same solves of freshly sampled
+    grids, one ``composite`` and one ``max_principle_check`` per eps^2 give;
+    for ``refine=1``, one ``solve_fd``.
 
     Raises:
         InsufficientPoints: fewer than 3 eps^2 values.
@@ -358,13 +335,20 @@ def remainder_norms(p: ProblemSpec, eps2_list: Sequence[float], orders: Sequence
     ys = grid.y_nodes()
 
     # once per sweep: the expansion base with its force coefficients at the
-    # output rows, and the output grid's samples of the data
+    # output rows, the samples of the grids solved and the bound data
     for e in eps_values:
         _check_eps(e)
     base = _ExpansionBase(p, orders[-1], n_modes, quad_points)
     approxes = [[ExpansionResult(base, e, n) for n in orders] for e in eps_values]
     raw = base.force_coeffs(ys)
-    references = _references(p, _PreparedGrid(p, grid), refine == "auto", eps_sq)
+    prepared = _sample(p, grid)
+    phi_max, sup_f = _bound_data(prepared)
+    fitted = refine == "auto"
+    solve = _PreparedGrid.solve_fitted if fitted else _PreparedGrid.solve
+    half = coarse = None
+    if _has_half_grid(grid):
+        half = _sample(p, Grid2D(n_x=grid.n_x // 2, n_y=grid.n_y // 2))
+        coarse = prepared.coarsened() if fitted else None
 
     norms = {n: [] for n in orders}
     dirichlet = {n: [] for n in orders}
@@ -372,12 +356,19 @@ def remainder_norms(p: ProblemSpec, eps2_list: Sequence[float], orders: Sequence
     estimates = []
     mp_results = []
     solves = []
-    for row in approxes:
-        # not zip(references, ...): zip would hold the last tuple into the next solve
-        ref, mp, estimate, stats = next(references)
-        mp_results.append(mp)
-        estimates.append(estimate)
+    for e2, row in zip(eps_sq, approxes):
+        field, stats = solve(prepared, e2)
+        mp_results.append(_max_principle(field, phi_max, sup_f, e2))
         solves.append(stats)
+        ref = field.values
+        estimate = None
+        if half is not None:  # x-part at the n_y / 2 rows, then the y-part
+            coarse_u = solve(coarse, e2)[0].values if fitted else ref[:, ::2]
+            estimate = _self_convergence(coarse_u, solve(half, e2)[0].values)
+            if fitted:
+                estimate += float(np.max(np.abs(ref[:, ::2] - coarse_u))) / 15.0
+            del coarse_u
+        estimates.append(estimate)
         for n, approx in zip(orders, row):
             # |ref - u[2n]| in the expansion's memory: no second grid-sized array
             diff = approx._grid_values(xs, ys, raw)
@@ -390,7 +381,7 @@ def remainder_norms(p: ProblemSpec, eps2_list: Sequence[float], orders: Sequence
             norms[n].append(float(diff[i, j]))
             argmax[n].append([float(xs[i]), float(ys[j])])
             del diff
-        del ref  # before the next solve
+        del field, ref  # before the next solve
 
     flagged = {
         n: [est is not None and est > norms[n][i] / FD_ERROR_MARGIN
@@ -408,7 +399,7 @@ def remainder_norms(p: ProblemSpec, eps2_list: Sequence[float], orders: Sequence
         max_principle=mp_results,
         grid=grid,
         n_modes=n_modes,
-        scheme="five-point" if refine == 1 else "fitted",
+        scheme="fitted" if fitted else "five-point",
         dirichlet_errors=dirichlet,
         reference_solves=solves,
         argmax=argmax,

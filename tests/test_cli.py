@@ -15,7 +15,7 @@ from anisolayer import (
     composite,
     solve_fd,
 )
-from anisolayer import fdsolver
+from anisolayer import fdsolver, montecarlo
 from anisolayer.cli import run
 import anisolayer.cli as cli_module
 from anisolayer.fdsolver import DEFAULT_TOL
@@ -434,6 +434,28 @@ def test_directory_output_is_usage_error_before_computing(
     monkeypatch.setattr(cli_module, target, _refuse)
     code = run(argv + ["--out", str(tmp_path)])
     _assert_one_line_usage_error(code, capsys, command, "is a directory")
+
+
+@pytest.mark.parametrize("command", sorted(_PATH_CASES))
+def test_empty_output_path_is_usage_error_before_computing(
+        command, tmp_path, monkeypatch, capsys):
+    target, argv = _PATH_CASES[command]
+    monkeypatch.setattr(cli_module, target, _refuse)
+    monkeypatch.chdir(tmp_path)
+    code = run(argv + ["--out", ""])
+    _assert_one_line_usage_error(code, capsys, command, "--out must name a file")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_mc_too_many_paths_is_usage_error(tmp_path, monkeypatch, capsys):
+    # refused before any chunk list is built: memory grows with the path count
+    monkeypatch.setattr(cli_module, "estimate_point", _refuse)
+    out = tmp_path / "estimate.json"
+    paths = str(montecarlo.MAX_PATHS + 1)
+    code = run(["mc", "--problem", "paper", "--eps2", "0.05", "--x", "0.5", "--y", "0.5",
+                "--paths", paths, "--out", str(out)])
+    _assert_one_line_usage_error(code, capsys, "mc", f"got {paths}")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])

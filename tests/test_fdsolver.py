@@ -208,7 +208,7 @@ class TestSolveFd:
         # the transforms of the right-hand side, kept from the first solve,
         # give the second eps^2 bit for bit what a freshly prepared grid gives
         p, grid = builtin_problem("paper", eps=eps), Grid2D(32, 48)
-        prepared = fdsolver._PreparedGrid(p, grid)
+        prepared = fdsolver._sample(p, grid)
         prepared.solve(first)
         u, stats = prepared.solve(eps**2)
         v, fresh_stats = solve_fd(p, grid)
@@ -226,7 +226,7 @@ def test_solves_start_no_threads():
         "before = count()\n"
         "p, grid = a.builtin_problem('paper', eps=0.1), a.Grid2D(64, 64)\n"
         "a.solve_fd(p, grid)\n"
-        "fdsolver._PreparedGrid(p, grid).solve_fitted(0.01)\n"
+        "fdsolver._sample(p, grid).solve_fitted(0.01)\n"
         "for refine in (1, 'auto'):\n"
         "    a.remainder_norms(p, [0.02, 0.05, 0.1], [0, 1], a.Grid2D(16, 32), n_modes=8,\n"
         "                      quad_points=64, refine=refine)\n"
@@ -244,16 +244,16 @@ class TestCoarsenedLevel:
     @pytest.mark.parametrize("r", [2, 4, 8, 16])
     @pytest.mark.parametrize("n_x", [16, 15])
     def test_equals_a_freshly_prepared_level(self, problem, r, n_x):
-        # every stride-th row of the finest samples is the level prepared
-        # from scratch
+        # every second row of the finest samples, once or twice over, is the
+        # level sampled from scratch
         p = builtin_problem(problem)
-        finest = fdsolver._PreparedGrid(p, Grid2D(n_x, 8 * r))
+        coarse = fdsolver._sample(p, Grid2D(n_x, 8 * r))
         for stride in (s for s in (2, 4) if s <= r):
-            coarse = finest.coarsened(stride)
-            fresh = fdsolver._PreparedGrid(p, Grid2D(n_x, 8 * r // stride))
+            coarse = coarse.coarsened()
+            fresh = fdsolver._sample(p, Grid2D(n_x, 8 * r // stride))
             assert coarse.grid == fresh.grid
             assert coarse._five_point_rhs(1.0).flags.c_contiguous
-            for name in ("_f", "_mu", "_lam", "bottom", "top"):
+            for name in ("f", "_mu", "_lam", "bottom", "top"):
                 a, b = getattr(coarse, name), getattr(fresh, name)
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
             assert (coarse._inv_dx2, coarse._inv_dy2, coarse._zero) == (
@@ -263,37 +263,45 @@ class TestCoarsenedLevel:
                 v, fresh_stats = solve(fresh, 0.05)
                 assert u.values.tobytes() == v.values.tobytes() and stats == fresh_stats
 
-    def test_carries_no_maximum_principle_data(self):
-        # the coarse level sampled no f on its Dirichlet rows, so it has no
-        # sup|f| of its own, and no bound can be read off it
-        finest = fdsolver._PreparedGrid(builtin_problem("paper"), Grid2D(16, 32))
-        coarse = finest.coarsened(2)
-        assert not hasattr(coarse, "sup_f") and not hasattr(coarse, "phi_max")
+    @pytest.mark.parametrize("n_y", [9, 33])
+    def test_odd_row_count_is_rejected(self, n_y):
+        # every second row of an odd count would skip the last row, y = 1
+        finest = fdsolver._sample(builtin_problem("paper"), Grid2D(16, n_y))
+        with pytest.raises(ValueError, match=f"n_y = {n_y}"):
+            finest.coarsened()
 
 
 class TestSamples:
     def test_f_on_the_dirichlet_rows_reaches_only_the_fitted_scheme_and_the_bound(self):
         # f changed on y = 0 and y = 1 only: the five-point scheme never reads
-        # those rows, the fitted one weights them by beta_k, and sup|f| and
-        # the max-principle bound include them
+        # those rows, the fitted one weights them by beta_k, and sup|f| in
+        # the max-principle bound includes them
         p = builtin_problem("paper", eps=0.1)
         q = dataclasses.replace(p, f=lambda x, y: np.where((y == 0.0) | (y == 1.0), 10.0,
                                                            p.f(x, y)))
         eps2, grid = p.eps**2, Grid2D(32, 16)
-        a, b = fdsolver._PreparedGrid(p, grid), fdsolver._PreparedGrid(q, grid)
+        a, b = fdsolver._sample(p, grid), fdsolver._sample(q, grid)
         (u, u_stats), (v, v_stats) = a.solve(eps2), b.solve(eps2)
         assert u.values.tobytes() == v.values.tobytes() and u_stats == v_stats
         fitted_a, fitted_b = a.solve_fitted(eps2)[0].values, b.solve_fitted(eps2)[0].values
         assert np.max(np.abs(fitted_a - fitted_b)) > 1e-4
-        assert a.sup_f < 10.0 == b.sup_f
-        assert max_principle_check(v, q).bound == b.phi_max + 0.5 * (eps2 * 10.0)
+        assert np.max(np.abs(a.f)) < 10.0 == np.max(np.abs(b.f))
+        phi_max = max(np.max(np.abs(b.bottom)), np.max(np.abs(b.top)))
+        assert max_principle_check(v, q).bound == phi_max + 0.5 * (eps2 * 10.0)
+
+    def test_nan_f_on_the_dirichlet_rows_gives_a_nan_bound(self):
+        # the rows are sampled unchecked, and a NaN on them reaches sup|f|
+        p = builtin_problem("paper", eps=0.1)
+        q = dataclasses.replace(p, f=lambda x, y: np.where(y == 1.0, np.nan, p.f(x, y)))
+        u, _ = solve_fd(q, Grid2D(16, 16))
+        assert np.isnan(max_principle_check(u, q).bound)
 
     def test_f_nonzero_only_on_the_dirichlet_rows(self):
         # the five-point right-hand side is 0, solved exactly by u = 0; the
         # fitted one is not, since beta_k weights f's rows at y = 0 and 1
         p = ProblemSpec(f=lambda x, y: np.where(y == 0.0, 1.0, 0.0 * x), phi0=lambda x: 0 * x,
                         phi1=lambda x: 0 * x, eps=0.1)
-        prepared = fdsolver._PreparedGrid(p, Grid2D(16, 16))
+        prepared = fdsolver._sample(p, Grid2D(16, 16))
         field, stats = prepared.solve(0.01)
         assert not field.values.any() and stats == fdsolver.SolveStats(1, 0.0, 0.0)
         field, stats = prepared.solve_fitted(0.01)
@@ -307,7 +315,7 @@ class TestSamples:
         # relative residual is left to certify the solve
         p = ProblemSpec(f=lambda x, y: 0.1 + 0 * x * y, phi0=lambda x: 0 * x,
                         phi1=lambda x: 0 * x, eps=1.0)
-        prepared = fdsolver._PreparedGrid(p, Grid2D(16, 16))
+        prepared = fdsolver._sample(p, Grid2D(16, 16))
         with pytest.raises(NoConvergence, match="right-hand side eps\\^2 b underflows to 0"):
             solve(prepared, 5e-324)
 
@@ -315,7 +323,7 @@ class TestSamples:
 class TestFittedSolve:
     @staticmethod
     def _solve(p, grid, eps2):
-        return fdsolver._PreparedGrid(p, grid).solve_fitted(eps2)
+        return fdsolver._sample(p, grid).solve_fitted(eps2)
 
     @pytest.mark.parametrize("eps2", [0.1, 1e-3, 1e-6])
     @pytest.mark.parametrize("grid", [Grid2D(16, 16), Grid2D(8, 32), Grid2D(64, 8)])
@@ -351,7 +359,7 @@ class TestFittedSolve:
         b[-1] += p.phi1(xs).mean() / grid.dy**2
         limit = np.concatenate([[p.phi0(xs).mean()], np.linalg.solve(a, b),
                                 [p.phi1(xs).mean()]])
-        prepared = fdsolver._PreparedGrid(p, grid)
+        prepared = fdsolver._sample(p, grid)
         for eps2 in (1e-24, 1e-32, 1e-100, 1e-300, 1e-320, 5e-324):
             with np.errstate(all="raise"):
                 field, _ = prepared.solve_fitted(eps2)

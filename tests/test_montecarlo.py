@@ -29,6 +29,9 @@ def test_config_guards():
         McConfig(dt=2e-3)
     with pytest.raises(ValueError):
         McConfig(n_paths=10)
+    with pytest.raises(ValueError, match=f"got {montecarlo.MAX_PATHS + 1}"):
+        McConfig(n_paths=montecarlo.MAX_PATHS + 1)
+    assert McConfig(n_paths=montecarlo.MAX_PATHS).n_paths == montecarlo.MAX_PATHS
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         McConfig(seed=-1)
 

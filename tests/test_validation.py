@@ -401,19 +401,20 @@ class TestSweepSharesEpsFreeWork:
         assert (16, 31) in shapes and (8, 15) in shapes
         assert not {(16, 63), (16, 15)} & set(shapes)
 
-    def test_only_the_finest_level_is_maximum_principle_checked(self, monkeypatch):
-        checked = []
-        real = validation._max_principle
+    @pytest.mark.parametrize("refine", [1, "auto"])
+    def test_bound_data_is_taken_once_from_the_output_grid(self, refine, monkeypatch):
+        taken = []
+        real = validation._bound_data
 
-        def record(u, prepared, eps2):
-            checked.append(prepared.grid)
-            return real(u, prepared, eps2)
+        def record(prepared):
+            taken.append(prepared.grid)
+            return real(prepared)
 
-        monkeypatch.setattr(validation, "_max_principle", record)
+        monkeypatch.setattr(validation, "_bound_data", record)
         report = remainder_norms(builtin_problem("paper"), [0.02, 0.05, 0.1], [0],
-                                 Grid2D(16, 32), n_modes=8, quad_points=64)
-        assert report.scheme == "fitted"
-        assert checked == [Grid2D(16, 32)] * 3
+                                 Grid2D(16, 32), n_modes=8, quad_points=64, refine=refine)
+        assert len(report.max_principle) == 3
+        assert taken == [Grid2D(16, 32)]
 
     @pytest.mark.parametrize("grid, eps2, kwargs", [
         # the 128 x 32 sweep of test_under_resolved_grid_gets_accurate_reference
@@ -431,7 +432,7 @@ class TestSweepSharesEpsFreeWork:
         xs, ys = grid.x_nodes(), grid.y_nodes()
 
         def solve(p_eps, n_x, n_y):
-            prepared = fdsolver._PreparedGrid(p_eps, Grid2D(n_x, n_y))
+            prepared = fdsolver._sample(p_eps, Grid2D(n_x, n_y))
             field, stats = prepared.solve_fitted(p_eps.eps**2)
             return field.values, stats
 
