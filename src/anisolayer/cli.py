@@ -8,6 +8,12 @@ Subcommands:
     mc           Feynman-Kac point estimate -> JSON
     identity     inner/outer matching-identity deviation -> JSON
 
+``check`` and ``identity`` take only the problem (and ``identity`` an output
+path): ``check`` measures with step 5e-6 against tolerance 1e-8
+(``problem.COMPAT_STEP``, ``COMPAT_TOL``), and ``identity`` runs acceptance
+criterion 3's configuration, modes k = 1..8 on 4096 Simpson intervals at 9
+uniform y-samples.
+
 Exit codes: 0 on success, 1 on usage errors (bad flags, unknown problem,
 inconsistent request, an output path that cannot be written; missing
 directories and directory targets are caught before any computation), on a
@@ -15,8 +21,9 @@ request too large for memory (``MemoryError``) and on a worker process that
 dies while formatting a field CSV or simulating Monte Carlo paths
 (``ChildProcessError``), 2 on numerical failures (a solve that fails its
 residual check, non-finite data, violated integral conditions).  Each
-failure is one line on stderr, without a traceback.  File outputs are
-deterministic for a fixed flag set and seed; CSV artifacts carry
+failure is one line on stderr, without a traceback, and so is each warning,
+the library's included (``anisolayer <command>: warning: <message>``).  File
+outputs are deterministic for a fixed flag set and seed; CSV artifacts carry
 '#'-prefixed metadata lines (tool version and config echo) above the header,
 JSON artifacts carry the same echo under a "meta" key.
 """
@@ -24,10 +31,12 @@ JSON artifacts carry the same echo under a "meta" key.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
+import warnings
 from typing import Sequence
 
 import numpy as np
@@ -49,8 +58,8 @@ from .fdsolver import DEFAULT_MAX_ITER, DEFAULT_TOL, Field2D, Grid2D, solve_fd
 from .montecarlo import DEFAULT_DT, DEFAULT_PATHS, McConfig, estimate_point
 from .problem import (
     BUILTIN_PROBLEM_NAMES,
-    DEFAULT_COMPAT_STEP,
-    DEFAULT_COMPAT_TOL,
+    COMPAT_STEP,
+    COMPAT_TOL,
     DEFAULT_QUAD_POINTS,
     builtin_problem,
     check_compatibility,
@@ -67,15 +76,17 @@ _NUMERICAL_ERRORS = (NoConvergence, NonFiniteValue, IntegralConditionViolated,
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that reports usage problems with exit code 1."""
+    """ArgumentParser that reports usage problems with exit code 1, in one
+    line, and takes no abbreviated options, so that an option a subcommand
+    does not have (``check --h``) is refused instead of resolving to
+    ``--help``."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message: str) -> None:  # noqa: A003 - argparse API
-        self.print_usage(sys.stderr)
-        raise SystemExit(self._fail(message))
-
-    def _fail(self, message: str) -> int:
         print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return 1
+        raise SystemExit(1)
 
 
 def _eps2_list(text: str) -> list:
@@ -131,9 +142,6 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("check", help="compatibility and derivative sanity report")
     add_problem(sp)
-    sp.add_argument("--h", type=_positive, default=DEFAULT_COMPAT_STEP,
-                    help="difference step for endpoint slopes")
-    sp.add_argument("--tol-compat", type=_positive, default=DEFAULT_COMPAT_TOL)
 
     sp = sub.add_parser("expand", help="evaluate a composite approximation on a grid")
     add_problem(sp)
@@ -185,10 +193,6 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("identity", help="matching-identity deviation")
     add_problem(sp)
-    sp.add_argument("--kmax", type=_positive_int, default=8, help="largest checked mode")
-    sp.add_argument("--quad-points", type=int, default=4096)
-    sp.add_argument("--y-samples", type=_positive_int, default=9,
-                    help="number of uniform y sample points")
     sp.add_argument("--out", help="JSON path; stdout when omitted")
 
     return parser
@@ -242,10 +246,10 @@ def _field_to_csv(field: Field2D, out: str, meta: dict) -> None:
 
 def _cmd_check(args) -> int:
     p = builtin_problem(args.problem)
-    report = check_compatibility(p, h=args.h, tol_compat=args.tol_compat)
+    report = check_compatibility(p)
     print(f"compatibility report for problem {args.problem!r} "
-          f"(step {args.h:g}, tolerance {args.tol_compat:g})")
-    for name, value in report.magnitudes().items():
+          f"(step {COMPAT_STEP:g}, tolerance {COMPAT_TOL:g})")
+    for name, value in dataclasses.asdict(report).items():
         print(f"  |{name}| = {abs(value):.3e}")
     print(f"  compatibility: {'PASS' if report.passed else 'FAIL'}")
     derivs_ok = check_derivatives(p)
@@ -322,15 +326,16 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_identity(args) -> int:
+    kmax, quad_points = 8, 4096  # criterion 3's configuration, with 9 y-samples
     p = builtin_problem(args.problem)
-    d = decompose(p, quad_points=args.quad_points)
-    stack = build_antiderivatives(d, quad_points=args.quad_points)
-    ys = np.linspace(0.0, 1.0, args.y_samples)
-    deviation = matching_identity_check(d, stack, n_modes=args.kmax, y_samples=ys)
+    d = decompose(p, quad_points=quad_points)
+    stack = build_antiderivatives(d, quad_points=quad_points)
+    ys = np.linspace(0.0, 1.0, 9)
+    deviation = matching_identity_check(d, stack, n_modes=kmax, y_samples=ys)
     payload = {
         "max_deviation": deviation,
-        "kmax": args.kmax,
-        "quad_points": args.quad_points,
+        "kmax": kmax,
+        "quad_points": quad_points,
         "y_samples": list(ys),
         "meta": _meta(args),
     }
@@ -350,6 +355,13 @@ _COMMANDS = {
 }
 
 
+def _warning_printer(command: str):
+    """A ``warnings.showwarning`` that prints one CLI line per warning."""
+    def show(message, *_, **__) -> None:
+        print(f"anisolayer {command}: warning: {message}", file=sys.stderr)
+    return show
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse argv and execute one subcommand; returns the exit code."""
     parser = build_parser()
@@ -359,7 +371,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         _check_output_paths(args)
-        return _COMMANDS[args.command](args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _warning_printer(args.command)
+            return _COMMANDS[args.command](args)
     except _NUMERICAL_ERRORS as exc:
         print(f"anisolayer {args.command}: numerical failure: {exc}", file=sys.stderr)
         return 2

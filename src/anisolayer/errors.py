@@ -22,7 +22,12 @@ class MissingDerivatives(ValueError):
 
 
 class NoConvergence(RuntimeError):
-    """A five-point solve's true residual missed tol plus its rounding floor."""
+    """A reference solve, five-point or fitted, failed its residual certificate.
+
+    Its true residual was not finite or missed tol plus its rounding floor, or
+    its rescaled right-hand side eps^2 b underflowed to 0, leaving nothing to
+    certify.
+    """
 
 
 class GridMismatch(ValueError):

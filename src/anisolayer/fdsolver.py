@@ -390,6 +390,21 @@ def _certificate(scheme: str, residual: float, rhs_norm: float, u_norm: float, s
     that is not ``final``, which the caller may refine.  Raises NoConvergence
     naming ``scheme`` for any other miss, and for b = 0 under a nonzero u:
     eps^2 times the data underflowed.  A b = 0 solved by u = 0 is exact.
+
+    What it certifies shrinks with eps, because the floor charges every
+    x-mode the largest x-eigenvalue while u's x-varying part is O(eps^2) away
+    from the layers.  Measured on the paper problem by scaling every x-mode
+    k >= 1 of a correct solve by 1.01 to 20 and keeping the largest sup-norm
+    change still accepted:
+      * sharp at the convergence table's eps^2 = 0.001 to 0.1, and down to
+        1e-6: no scaled field passes, for either scheme, on 64x256 or
+        2048x512;
+      * a blind spot below about 1e-6: the fitted solve accepts changes up to
+        1.1e-9 at eps^2 = 1e-7 on 2048x512 (on 64x256 from 1e-9 on, 1.1e-12),
+        the five-point one 1.3e-8 at 1e-12 on 2048x512;
+      * at eps^2 <= 1e-24 the x-varying part lies below the last digit of u:
+        every scaled field is accepted, and none moves u by more than
+        2.3e-16, the rounding of the transforms that apply the scaling.
     """
     floor = 16.0 * _EPS_MACH * scale * u_norm
     if rhs_norm == 0.0 and u_norm:

@@ -10,6 +10,11 @@ at frozen y) into its mean over [0, 1] plus a zero-mean fluctuation is the
 first step of every approximation built downstream: the mean obeys a 1-D
 two-point problem in y, the fluctuation carries the boundary layers.
 
+The Neumann sides also ask the Dirichlet data to be flat at x = 0, 1
+(phi0' = phi1' = 0 there); ``check_compatibility`` measures those four slopes
+with one fixed difference step, COMPAT_STEP, against one fixed tolerance,
+COMPAT_TOL.
+
 All callables are expected to be vectorized over numpy arrays, as the
 built-in instances are.
 """
@@ -27,8 +32,8 @@ from ._quad import check_finite, require_even, simpson_weights, unit_nodes
 from .errors import UnknownProblem
 
 DEFAULT_QUAD_POINTS = 1024
-DEFAULT_COMPAT_STEP = 5e-6
-DEFAULT_COMPAT_TOL = 1e-8
+COMPAT_STEP = 5e-6
+COMPAT_TOL = 1e-8
 DEFAULT_DERIV_TOL = 1e-4
 
 
@@ -84,27 +89,18 @@ class DecomposedProblem:
 
 @dataclass(frozen=True)
 class CompatibilityReport:
-    """Endpoint slopes of the Dirichlet data and the pass/fail verdict."""
+    """Endpoint slopes of the Dirichlet data; ``passed`` when all four lie
+    within COMPAT_TOL."""
 
     phi0_at_0: float
     phi0_at_1: float
     phi1_at_0: float
     phi1_at_1: float
-    step: float
-    tol: float
 
     @property
     def passed(self) -> bool:
         return max(abs(self.phi0_at_0), abs(self.phi0_at_1),
-                   abs(self.phi1_at_0), abs(self.phi1_at_1)) <= self.tol
-
-    def magnitudes(self) -> dict:
-        return {
-            "phi0_at_0": self.phi0_at_0,
-            "phi0_at_1": self.phi0_at_1,
-            "phi1_at_0": self.phi1_at_0,
-            "phi1_at_1": self.phi1_at_1,
-        }
+                   abs(self.phi1_at_0), abs(self.phi1_at_1)) <= COMPAT_TOL
 
 
 def decompose(p: ProblemSpec, quad_points: int = DEFAULT_QUAD_POINTS) -> DecomposedProblem:
@@ -151,39 +147,28 @@ def decompose(p: ProblemSpec, quad_points: int = DEFAULT_QUAD_POINTS) -> Decompo
     )
 
 
-def _one_sided_slope(g: Callable, at: float, h: float, sign: int) -> float:
-    # second-order one-sided quotient, pointing into the interval
+def _one_sided_slope(g: Callable, at: float, sign: int) -> float:
+    # second-order one-sided quotient with step COMPAT_STEP, pointing into the interval
+    h = COMPAT_STEP
     g0 = float(g(at))
     g1 = float(g(at + sign * h))
     g2 = float(g(at + sign * 2 * h))
     return sign * (-3.0 * g0 + 4.0 * g1 - g2) / (2.0 * h)
 
 
-def check_compatibility(
-    p: ProblemSpec,
-    h: float = DEFAULT_COMPAT_STEP,
-    tol_compat: float = DEFAULT_COMPAT_TOL,
-) -> CompatibilityReport:
-    """Measure |phi0'|, |phi1'| at x = 0, 1 by one-sided second-order quotients.
+def check_compatibility(p: ProblemSpec) -> CompatibilityReport:
+    """Measure phi0', phi1' at x = 0, 1 by one-sided second-order quotients.
 
     The Neumann side conditions require both Dirichlet data to have vanishing
-    slope at the corners; the report carries the four measured magnitudes and
-    passes iff all are within ``tol_compat``.  Report only: callers decide
-    whether to abort.  ``h`` must keep 1 - 2h < 1 - h < 1 in doubles, or every
-    quotient at x = 1 reads 0.
+    slope at the corners; the report carries the four measured slopes, taken
+    with step COMPAT_STEP = 5e-6, and passes iff all are within COMPAT_TOL =
+    1e-8.  Report only: callers decide whether to abort.
     """
-    if not 0.0 < h < 1e-2:
-        raise ValueError(f"h must lie in (0, 1e-2), got {h}")
-    if not 1.0 - 2.0 * h < 1.0 - h < 1.0:
-        raise ValueError(f"h = {h:g} is too small: 1 - h and 1 - 2h round together "
-                         "or to 1 in double precision")
     return CompatibilityReport(
-        phi0_at_0=_one_sided_slope(p.phi0, 0.0, h, +1),
-        phi0_at_1=_one_sided_slope(p.phi0, 1.0, h, -1),
-        phi1_at_0=_one_sided_slope(p.phi1, 0.0, h, +1),
-        phi1_at_1=_one_sided_slope(p.phi1, 1.0, h, -1),
-        step=h,
-        tol=tol_compat,
+        phi0_at_0=_one_sided_slope(p.phi0, 0.0, +1),
+        phi0_at_1=_one_sided_slope(p.phi0, 1.0, -1),
+        phi1_at_0=_one_sided_slope(p.phi1, 0.0, +1),
+        phi1_at_1=_one_sided_slope(p.phi1, 1.0, -1),
     )
 
 

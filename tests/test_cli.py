@@ -351,31 +351,55 @@ def test_mc_degenerate_start_is_usage_error(capsys):
 
 
 def test_identity_json(tmp_path):
+    # criterion 3's configuration, the only one the subcommand runs
     out = tmp_path / "identity.json"
-    code = run(["identity", "--problem", "paper", "--kmax", "4",
-                "--quad-points", "1024", "--out", str(out)])
+    code = run(["identity", "--problem", "paper", "--out", str(out)])
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["max_deviation"] < 1e-7
-    assert payload["kmax"] == 4
-    assert len(payload["y_samples"]) == 9
+    assert payload["kmax"] == 8
+    assert payload["quad_points"] == 4096
+    assert payload["y_samples"] == list(np.linspace(0.0, 1.0, 9))
 
 
-def test_check_step_too_small_for_doubles_is_usage_error(capsys):
-    # 1 - 1e-300 rounds to 1, so every slope would read 0 and pass
-    code = run(["check", "--problem", "paper", "--h", "1e-300"])
-    _assert_one_line_usage_error(code, capsys, "check", "h = 1e-300 is too small")
+def test_subcommand_option_sets():
+    # check and identity run at one configuration; a new option is a deliberate change
+    parser = cli_module.build_parser()
+    (sub,) = [a for a in parser._actions if a.choices and "check" in a.choices]
+    options = {name: {opt for a in sp._actions for opt in a.option_strings} - {"-h", "--help"}
+               for name, sp in sub.choices.items()}
+    common = {"--problem", "--out"}
+    assert options == {
+        "check": {"--problem"},
+        "identity": common,
+        "expand": common | {"--eps2", "--order", "--nx", "--ny", "--modes", "--quad-points"},
+        "fd": common | {"--eps2", "--nx", "--ny", "--tol", "--max-iter"},
+        "convergence": common | {"--eps2", "--orders", "--nx", "--ny", "--modes",
+                                 "--quad-points", "--refine"},
+        "mc": common | {"--eps2", "--x", "--y", "--paths", "--seed", "--dt", "--bridge"},
+    }
 
 
-@pytest.mark.parametrize("flag", ["--kmax", "--y-samples"])
-def test_identity_empty_check_is_usage_error(flag, tmp_path, capsys):
-    out = tmp_path / "identity.json"
-    code = run(["identity", "--problem", "paper", "--quad-points", "64",
-                flag, "0", "--out", str(out)])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert flag in err and "positive integer" in err
-    assert not out.exists()
+def test_library_warning_is_one_cli_line(tmp_path, capsys):
+    # expansion.composite warns above eps = 0.5; here eps = 0.548
+    out = tmp_path / "u.csv"
+    code = run(["expand", "--problem", "paper", "--eps2", "0.3", "--nx", "8", "--ny", "8",
+                "--out", str(out)])
+    assert code == 0 and out.exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "cli.py" not in lines[0]
+    assert lines[0].startswith("anisolayer expand: warning: eps = 0.547")
+
+
+def test_each_library_warning_is_one_line(tmp_path, capsys):
+    code = run(["convergence", "--problem", "paper", "--eps2", "0.3,0.5,0.9",
+                "--nx", "8", "--ny", "8", "--out", str(tmp_path / "table.csv")])
+    assert code == 0
+    lines = capsys.readouterr().err.splitlines()
+    eps_lines = [ln for ln in lines if ln.startswith("anisolayer convergence: warning: eps = ")]
+    assert [ln.split()[5] for ln in eps_lines] == [
+        str(float(np.sqrt(e2))) for e2 in (0.3, 0.5, 0.9)]
+    assert len(lines) == 4 and "may pollute" in lines[3]
 
 
 def test_numerical_failure_maps_to_exit_2(monkeypatch, capsys):
@@ -487,6 +511,15 @@ _BAD_VALUE_CASES = {
     "mc-eps2-inf": ["mc", "--problem", "paper", "--eps2", "inf", "--x", "0.5", "--y", "0.5",
                     "--paths", "100", "--dt", "1e-3", "--out", "estimate.json"],
     "check-tol-compat-inf": ["check", "--problem", "paper", "--tol-compat", "inf"],
+    # check and identity take no numerical options: each former one is refused
+    "check-h": ["check", "--problem", "paper", "--h", "1e-6"],
+    "check-tol-compat": ["check", "--problem", "paper", "--tol-compat", "1e-6"],
+    "identity-kmax": ["identity", "--problem", "paper", "--kmax", "4",
+                      "--out", "identity.json"],
+    "identity-quad-points": ["identity", "--problem", "paper", "--quad-points", "1024",
+                             "--out", "identity.json"],
+    "identity-y-samples": ["identity", "--problem", "paper", "--y-samples", "3",
+                           "--out", "identity.json"],
     "convergence-eps2-nan": ["convergence", "--problem", "paper", "--eps2", "0.01,nan,0.1",
                              "--nx", "8", "--ny", "8", "--out", "table.csv"],
     "convergence-orders-empty": ["convergence", "--problem", "paper", "--eps2", "0.01,0.05,0.1",
@@ -506,12 +539,12 @@ _BAD_VALUE_CASES = {
 def test_bad_values_are_usage_errors_before_computing(argv, tmp_path, monkeypatch, capsys):
     # repeated orders reach remainder_norms, which refuses them before any solve
     monkeypatch.chdir(tmp_path)
-    for target in ("solve_fd", "estimate_point", "check_compatibility"):
+    for target in ("solve_fd", "estimate_point", "check_compatibility", "decompose"):
         monkeypatch.setattr(cli_module, target, _refuse)
     code = run(argv)
     assert code == 1
     err = capsys.readouterr().err
-    assert err and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
 
 
