@@ -20,7 +20,8 @@ directories and directory targets are caught before any computation), on a
 request too large for memory (``MemoryError``) and on a worker process that
 dies while formatting a field CSV or simulating Monte Carlo paths
 (``ChildProcessError``), 2 on numerical failures (a solve that fails its
-residual check, non-finite data, violated integral conditions).  Each
+residual check, non-finite data, violated integral conditions), and 141
+(128 + SIGPIPE), silently, when stdout is a pipe its reader closed.  Each
 failure is one line on stderr, without a traceback, and so is each warning,
 the library's included (``anisolayer <command>: warning: <message>``).  File
 outputs are deterministic for a fixed flag set and seed; CSV artifacts carry
@@ -89,26 +90,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _eps2_list(text: str) -> list:
-    try:
-        values = [float(tok) for tok in text.split(",") if tok]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse eps^2 list {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("empty eps^2 list")
-    if not all(math.isfinite(v) for v in values):
-        raise argparse.ArgumentTypeError(f"eps^2 values must be finite, got {text!r}")
-    return values
-
-
-def _orders_list(text: str) -> list:
-    try:
-        values = [int(tok) for tok in text.split(",") if tok]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse orders list {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("empty orders list")
-    return values
+def _comma_list(convert, what: str):
+    """An argparse type: one or more finite comma-separated ``convert`` values."""
+    def parse(text: str) -> list:
+        try:
+            values = [convert(tok) for tok in text.split(",") if tok]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"cannot parse {what} list {text!r}")
+        if not values:
+            raise argparse.ArgumentTypeError(f"empty {what} list")
+        # comparisons, not math.isfinite, which overflows on a huge int
+        if not all(-math.inf < v < math.inf for v in values):
+            raise argparse.ArgumentTypeError(f"{what} values must be finite, got {text!r}")
+        return values
+    return parse
 
 
 def _positive(text: str) -> float:
@@ -165,9 +160,9 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("convergence", help="remainder table and order fits")
     add_problem(sp)
-    sp.add_argument("--eps2", type=_eps2_list, required=True,
+    sp.add_argument("--eps2", type=_comma_list(float, "eps^2"), required=True,
                     help="comma-separated eps^2 values (need >= 3)")
-    sp.add_argument("--orders", type=_orders_list, default=[0, 1],
+    sp.add_argument("--orders", type=_comma_list(int, "orders"), default=[0, 1],
                     help="comma-separated correction counts, default 0,1")
     sp.add_argument("--nx", type=int, required=True)
     sp.add_argument("--ny", type=int, required=True)
@@ -362,6 +357,19 @@ def _warning_printer(command: str):
     return show
 
 
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at the null device, so that the interpreter's
+    last flush of what a closed pipe refused is silent.  A stdout without a
+    descriptor, such as a test's capture, is left alone."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse argv and execute one subcommand; returns the exit code."""
     parser = build_parser()
@@ -373,7 +381,13 @@ def run(argv: Sequence[str] | None = None) -> int:
         _check_output_paths(args)
         with warnings.catch_warnings():
             warnings.showwarning = _warning_printer(args.command)
-            return _COMMANDS[args.command](args)
+            code = _COMMANDS[args.command](args)
+        # a closed pipe shows here, not at exit; print skips a stdout of None
+        print(end="", flush=True)
+        return code
+    except BrokenPipeError:
+        _discard_stdout()
+        return 141
     except _NUMERICAL_ERRORS as exc:
         print(f"anisolayer {args.command}: numerical failure: {exc}", file=sys.stderr)
         return 2

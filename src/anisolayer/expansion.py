@@ -176,22 +176,21 @@ class _ExpansionBase:
                         for m in range(1, int(order) + 1)]
         self.end_coeffs = self.force_coeffs(np.array([0.0, 1.0]))
 
-    def force_coeffs(self, y, order: int | None = None) -> list:
+    def force_coeffs(self, y) -> list:
         """Raw cosine coefficients, shape (K, y.size), of the force fluctuation
-        sources of orders 1..``order`` (all by default) at each y.
+        sources of orders 1..``order`` at each y.
 
         The sources are sampled on at most ``_Y_BLOCK`` y-columns at a time.
         """
         y = np.asarray(y, dtype=float).ravel()
-        sources = self.sources[:order]
         xq = unit_nodes(self.quad_points)
         w = simpson_weights(self.quad_points)
-        out = [np.empty((self.n_modes, y.size)) for _ in sources]
+        out = [np.empty((self.n_modes, y.size)) for _ in self.sources]
         # near-equal blocks: none is a single column unless y is
         n_blocks = -(-y.size // _Y_BLOCK)
         edges = [y.size * i // n_blocks for i in range(n_blocks + 1)]
         for lo, hi in zip(edges[:-1], edges[1:]):
-            for coeffs, source in zip(out, sources):
+            for coeffs, source in zip(out, self.sources):
                 vals = check_finite(source(xq[:, None], y[None, lo:hi]), "force derivative")
                 vals = vals - (w @ vals)[None, :]  # keep zero x-mean exactly
                 coeffs[:, lo:hi] = analyze(vals, self.n_modes)
@@ -201,11 +200,12 @@ class _ExpansionBase:
 class ExpansionResult:
     """Evaluable composite approximation u[2n] with its constituent parts.
 
-    Every value is the mean profile plus one cosine synthesis of the summed
-    coefficients (``_coeffs``) of the even outer corrections (``outer_part``,
-    identically zero at order 0) and of the ``bottom_layer`` and
-    ``top_layer`` (``LayerTerm``s over the layer amplitudes).  ``__call__``
-    broadcasts x and y elementwise; ``evaluate_grid`` fills a tensor grid.
+    Every value comes from one evaluator, ``_values``: the mean profile plus
+    one cosine synthesis of the summed coefficients of the even outer
+    corrections (``outer_part``, identically zero at order 0) and of the
+    ``bottom_layer`` and ``top_layer`` (``LayerTerm``s over the layer
+    amplitudes).  ``__call__`` broadcasts x and y elementwise;
+    ``evaluate_grid`` fills a tensor grid.
     """
 
     def __init__(self, base: _ExpansionBase, eps: float, order: int):
@@ -242,36 +242,31 @@ class ExpansionResult:
             c += prefactor[:, None] * coeffs
         return c.reshape((self.n_modes,) + tuple(shape))
 
-    def _coeffs(self, y, raw: list) -> np.ndarray:
-        """Summed cosine coefficients of the outer corrections and both
-        layers at y, shape (K,) + y.shape, from the raw force coefficients
-        ``raw`` at y (``_ExpansionBase.force_coeffs``)."""
+    def _values(self, x, y, raw: list):
+        """u[2n](x, y), x and y broadcast elementwise, from the raw force
+        coefficients ``raw`` at y (``_ExpansionBase.force_coeffs``), which
+        every eps and order of the base may share: the mean profile plus one
+        synthesis of the summed outer and layer coefficients."""
         y = np.asarray(y, dtype=float)
-        return (self._outer_from(raw, y.shape) + self.bottom_layer.coeffs(y)
-                + self.top_layer.coeffs(y))
+        out = synthesize(self._outer_from(raw, y.shape) + self.bottom_layer.coeffs(y)
+                         + self.top_layer.coeffs(y), x)
+        out += self.mean(y)  # in place: no second grid-sized array
+        return out
 
     def outer_part(self, x, y):
         """Even outer corrections; identically zero at order 0."""
         y = np.asarray(y, dtype=float)
-        return synthesize(self._outer_from(self._base.force_coeffs(y, self.order), y.shape), x)
+        return synthesize(self._outer_from(self._base.force_coeffs(y), y.shape), x)
 
     def __call__(self, x, y):
         """u[2n](x, y); x and y broadcast elementwise."""
-        return self.mean(y) + synthesize(
-            self._coeffs(y, self._base.force_coeffs(y, self.order)), x)
+        return self._values(x, y, self._base.force_coeffs(y))
 
     def evaluate_grid(self, xs, ys) -> np.ndarray:
         """Values on the tensor grid, shape (len(xs), len(ys))."""
-        return self._grid_values(xs, ys, self._base.force_coeffs(ys, self.order))
-
-    def _grid_values(self, xs, ys, raw: list) -> np.ndarray:
-        """``evaluate_grid`` from the raw force coefficients ``raw`` at ys
-        (``_ExpansionBase.force_coeffs``), which all eps may share."""
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
-        out = synthesize(self._coeffs(ys, raw), xs[:, None])
-        out += self.mean(ys)[None, :]  # in place: no second grid-sized array
-        return out
+        return self._values(xs[:, None], ys, self._base.force_coeffs(ys))
 
 
 def composite(p: ProblemSpec, order: int = 0, n_modes: int = DEFAULT_MODES,

@@ -12,7 +12,10 @@ Y takes Gaussian steps sqrt(dt) Z, and X takes uniform steps
 sqrt(3) h (2U - 1) with h = sqrt(dt) / eps, which match the Gaussian's first
 three moments and so keep weak order 1.  Reflection is applied through the
 exact folding map of the line onto [0, 1], and the running force integral
-uses the left-endpoint rule.
+uses the left-endpoint rule.  A path is absorbed at the first step that ends
+on or past y = 0 or y = 1; with ``bridge_correction`` also at a step whose
+Brownian bridge between its endpoints crossed a side.  One helper,
+``_exits``, makes that decision for both passes below.
 
 While more than ``_TAIL_PATHS`` paths are live, each pass advances every live
 path by one step.  At or below it, each pass advances a block of
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -92,20 +95,9 @@ class McEstimate:
     max_steps: int
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "mean": self.mean,
-                "std_error": self.std_error,
-                "n_paths": self.n_paths,
-                "mean_tau": self.mean_absorption_time,
-                "seed": self.seed,
-                "dt": self.dt,
-                "n_exit_bottom": self.n_exit_bottom,
-                "n_exit_top": self.n_exit_top,
-                "mean_steps": self.mean_steps,
-                "max_steps": self.max_steps,
-            }
-        )
+        """The fields as a JSON object, ``mean_absorption_time`` as ``mean_tau``."""
+        return json.dumps({"mean_tau" if key == "mean_absorption_time" else key: value
+                           for key, value in asdict(self).items()})
 
 
 def reflect_unit_interval(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -199,6 +191,7 @@ def _run_chunk(p: ProblemSpec, x0: float, y0: float, cfg: McConfig,
     dt = cfg.dt
     sqrt_dt = math.sqrt(dt)
     x_half_width = math.sqrt(3.0 * dt) / p.eps  # sqrt(3) h
+    bridge = rng if cfg.bridge_correction else None
 
     x = np.full(size, x0)
     y = np.full(size, y0)
@@ -226,12 +219,10 @@ def _run_chunk(p: ProblemSpec, x0: float, y0: float, cfg: McConfig,
             np.add(ys, dy, out=y_new)
 
             y, y_next = y_next, y
-            if cfg.bridge_correction:
-                bottom, top = _bridge_exits(ys, y_new, dt, rng)
-            elif np.minimum.reduce(y_new) > 0.0 and np.maximum.reduce(y_new) < 1.0:
+            if (bridge is None and np.minimum.reduce(y_new) > 0.0
+                    and np.maximum.reduce(y_new) < 1.0):
                 continue
-            else:
-                bottom, top = y_new <= 0.0, y_new >= 1.0
+            bottom, top = _exits(ys, y_new, dt, bridge)
             slots = exited = np.flatnonzero(bottom | top)
             if not exited.size:
                 continue
@@ -255,11 +246,8 @@ def _run_chunk(p: ProblemSpec, x0: float, y0: float, cfg: McConfig,
             fb[1:] = p.f(xb[:-1], yb[:-1])
             np.cumsum(fb, axis=0, out=fb)
 
-            if cfg.bridge_correction:
-                bottom, top = (mask.reshape(rows, n) for mask in
-                               _bridge_exits(yb[:-1].ravel(), yb[1:].ravel(), dt, rng))
-            else:
-                bottom, top = yb[1:] <= 0.0, yb[1:] >= 1.0
+            bottom, top = (mask.reshape(rows, n) for mask in
+                           _exits(yb[:-1].ravel(), yb[1:].ravel(), dt, bridge))
             hit = bottom | top
             first = np.argmax(hit, axis=0)  # each slot's first exiting step, 0 if none
             slots = np.flatnonzero(hit.any(axis=0))
@@ -304,11 +292,18 @@ def _x_steps(rng: np.random.Generator, out: np.ndarray, half_width: float) -> No
     out *= 2.0 * half_width
 
 
-def _bridge_exits(y: np.ndarray, y_new: np.ndarray, dt: float,
-                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Exit masks at y = 0 and y = 1, counting bridge crossings between steps."""
+def _exits(y: np.ndarray, y_new: np.ndarray, dt: float,
+           rng: np.random.Generator | None) -> tuple[np.ndarray, np.ndarray]:
+    """Exit masks at y = 0 and y = 1 of the steps from ``y`` to ``y_new``.
+
+    A step exits where it ends on or past a side.  With ``rng``, a step that
+    ends inside also exits where the Brownian bridge between its endpoints
+    crossed a side, decided by one uniform per such step, in slot order.
+    """
     bottom = y_new <= 0.0
     top = y_new >= 1.0
+    if rng is None:
+        return bottom, top
     inside = np.flatnonzero(~(bottom | top))
     if inside.size:
         # probability that the bridge between the endpoints crossed

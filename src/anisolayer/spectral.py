@@ -4,9 +4,12 @@ Zero-mean smooth functions on [0, 1] are represented by truncated series
 sum_k c_k cos(k pi x), k = 1..K; the k = 0 coefficient vanishes for zero-mean
 data and is never stored.  The cosine basis is the natural one here because
 it satisfies the Neumann side conditions of the model equation.  Every
-cosine transform in the package goes through the two kernels here:
-``analyze`` (samples on the Simpson nodes -> coefficients) and ``synthesize``
-(coefficients -> values at any x).
+cosine series of the expansion and of the matching-identity check goes
+through the two kernels here: ``analyze`` (samples on the Simpson nodes ->
+coefficients) and ``synthesize`` (coefficients -> values at any x).  The
+fast transforms of grid values do not: the reference solve's DCT-II and
+DST-I (``fdsolver``) and the cosine restriction of its error estimate
+(``validation._restrict_x``) call ``scipy.fft``.
 
 The second half of the module builds the stack of repeated x-antiderivatives
 F_0 = g, F_n(x, y) = integral_0^x F_{n-1}(z, y) dz of a zero-x-mean function

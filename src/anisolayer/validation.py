@@ -371,7 +371,7 @@ def remainder_norms(p: ProblemSpec, eps2_list: Sequence[float], orders: Sequence
         estimates.append(estimate)
         for n, approx in zip(orders, row):
             # |ref - u[2n]| in the expansion's memory: no second grid-sized array
-            diff = approx._grid_values(xs, ys, raw)
+            diff = approx._values(xs[:, None], ys, raw)
             np.abs(np.subtract(ref, diff, out=diff), out=diff)
             dirichlet[n].append(float(max(np.max(diff[:, 0]), np.max(diff[:, -1]))))
             # below every |difference|, the Dirichlet rows drop out of the

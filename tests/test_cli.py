@@ -2,7 +2,10 @@ import errno
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 from multiprocessing.context import ForkProcess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -524,6 +527,16 @@ _BAD_VALUE_CASES = {
                              "--nx", "8", "--ny", "8", "--out", "table.csv"],
     "convergence-orders-empty": ["convergence", "--problem", "paper", "--eps2", "0.01,0.05,0.1",
                                  "--orders", "", "--nx", "8", "--ny", "8", "--out", "table.csv"],
+    "convergence-orders-unparsable": ["convergence", "--problem", "paper",
+                                      "--eps2", "0.01,0.05,0.1", "--orders", "0,x",
+                                      "--nx", "8", "--ny", "8", "--out", "table.csv"],
+    "convergence-orders-fractional": ["convergence", "--problem", "paper",
+                                      "--eps2", "0.01,0.05,0.1", "--orders", "0,1.5",
+                                      "--nx", "8", "--ny", "8", "--out", "table.csv"],
+    # past float range: the parser's finiteness test must not overflow on it
+    "convergence-orders-huge": ["convergence", "--problem", "paper", "--eps2", "0.01,0.05,0.1",
+                                "--orders", "0," + "9" * 400, "--nx", "8", "--ny", "8",
+                                "--out", "table.csv"],
     "convergence-orders-repeated": ["convergence", "--problem", "paper",
                                     "--eps2", "0.01,0.05,0.1", "--orders", "0,0",
                                     "--nx", "8", "--ny", "8", "--out", "table.csv"],
@@ -546,6 +559,22 @@ def test_bad_values_are_usage_errors_before_computing(argv, tmp_path, monkeypatc
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--eps2", "0.01,x", "cannot parse eps^2 list '0.01,x'"),
+    ("--eps2", ",", "empty eps^2 list"),
+    ("--eps2", "0.01,inf,0.1", "eps^2 values must be finite, got '0.01,inf,0.1'"),
+    ("--orders", "0,x", "cannot parse orders list '0,x'"),
+    ("--orders", ",", "empty orders list"),
+])
+def test_list_option_messages(option, value, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli_module, "remainder_norms", _refuse)
+    argv = {"--eps2": "0.01,0.05,0.1", "--orders": "0,1", option: value}
+    code = run(["convergence", "--problem", "paper", "--eps2", argv["--eps2"],
+                "--orders", argv["--orders"], "--nx", "8", "--ny", "8",
+                "--out", str(tmp_path / "table.csv")])
+    _assert_one_line_usage_error(code, capsys, "convergence", f"argument {option}: {message}")
 
 
 @pytest.mark.parametrize("modes,code", [("8", 0), ("9", 1), ("2000", 1)])
@@ -648,3 +677,38 @@ def test_fd_tiny_eps_never_writes_zero_interior(tmp_path, capsys):
     limit, _ = solve_fd(builtin_problem("paper", eps=1e-6), grid)
     assert np.any(got[:, 1:-1] != 0.0)
     assert np.max(np.abs(got - limit.values)) <= 1e-8
+
+
+_PIPE_CASES = {
+    "check": ["check", "--problem", "paper"],
+    "identity": ["identity", "--problem", "paper"],
+    "mc": ["mc", "--problem", "paper", "--eps2", "0.05", "--x", "0.5", "--y", "0.5",
+           "--paths", "100", "--dt", "1e-3"],
+    "fd": ["fd", "--problem", "paper", "--eps2", "0.05", "--nx", "8", "--ny", "16"],
+}
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", sorted(_PIPE_CASES))
+def test_closed_stdout_pipe_exits_quietly(command, unbuffered, tmp_path):
+    # the reader is gone before the command writes: exit 141 as a shell
+    # filter killed by SIGPIPE would, with nothing on stderr
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {key: val for key, val in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = _PIPE_CASES[command] + (["--out", str(tmp_path / "piped.csv")]
+                                   if command == "fd" else [])
+    code = "import sys; from anisolayer.cli import run; sys.exit(run(sys.argv[1:]))"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-c", code, *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
+    if command == "fd":
+        assert run(_PIPE_CASES["fd"] + ["--out", str(tmp_path / "plain.csv")]) == 0
+        assert (tmp_path / "piped.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()

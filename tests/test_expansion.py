@@ -6,6 +6,7 @@ import pytest
 from anisolayer import expansion
 from anisolayer import (
     CosineSeries,
+    Grid2D,
     LayerTerm,
     MissingDerivatives,
     ProblemSpec,
@@ -15,6 +16,7 @@ from anisolayer import (
     decompose,
     mean_solution,
     mean_solution_bvp,
+    remainder_norms,
 )
 
 
@@ -297,6 +299,13 @@ class TestComposite:
         monkeypatch.setattr(expansion, "synthesize", counting)
         u(np.linspace(0, 1, 5), np.linspace(0, 1, 5))
         assert len(calls) == 1
+        # the grid and the sweep go through the same one evaluator
+        u.evaluate_grid(np.linspace(0, 1, 4), np.linspace(0, 1, 6))
+        assert len(calls) == 2
+        del calls[:]
+        remainder_norms(builtin_problem("paper"), [0.02, 0.05, 0.1], [0, 1], Grid2D(8, 16),
+                        n_modes=8, quad_points=64)
+        assert len(calls) == 3 * 2
 
     def test_linf_distance_samples_the_grid_path(self):
         from anisolayer import Grid2D, linf_distance, solve_fd
