@@ -28,7 +28,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from ._quad import (check_finite, cumulative_simpson, hermite, require_even,
                     simpson_weights, unit_nodes)
@@ -97,6 +96,8 @@ def mean_solution_bvp(d: DecomposedProblem, n_cells: int) -> np.ndarray:
     -u'' = fbar on ``n_cells + 1`` uniform nodes with u(0) = phibar0,
     u(1) = phibar1 and returns the nodal values.
     """
+    from scipy.linalg import solveh_banded
+
     m = int(n_cells)
     if m < 4:
         raise ValueError(f"n_cells must be >= 4, got {m}")

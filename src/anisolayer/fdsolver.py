@@ -48,7 +48,10 @@ runs the division, the two inverse transforms, the residual certificate and
 any refinement (whose residuals it transforms afresh).  The fitted solve
 takes the x-DCT of f on every row afresh.  The transforms run
 single-threaded: a thread pool would register fork handlers, which can hang
-``Field2D.write_csv``'s forked workers.  ``solve_fd`` samples and solves
+``Field2D.write_csv``'s forked workers.  The module imports scipy at its
+first transform (``scipy.fft``) and first residual norm (``scipy.linalg``),
+so the commands that never solve (``mc``, ``check``, ``identity``,
+``expand``, a usage error) never load it.  ``solve_fd`` samples and solves
 once; a convergence sweep samples its output grid once, solves it for every
 eps^2 and takes the coarser y-level of its estimate from every second row of
 its samples (``_PreparedGrid.coarsened``).
@@ -63,8 +66,6 @@ from functools import cached_property
 from typing import IO, Callable, Union
 
 import numpy as np
-from scipy.fft import dct, dst, idct, idst
-from scipy.linalg import blas
 
 from ._fork import forked_map
 from ._quad import check_finite
@@ -79,6 +80,18 @@ _EPS_MACH = float(np.finfo(float).eps)
 _BLOCK_ENTRIES = 2**16
 # values per block of CSV rows formatted by one worker task: about 1 MB of text
 _CSV_BLOCK_ENTRIES = 2**14
+
+
+def _scipy_fft(name: str) -> Callable[..., np.ndarray]:
+    """``scipy.fft.<name>``, imported at the first call: a process that never
+    transforms (``mc``, ``check``, ``identity``) never loads scipy."""
+    def transform(*args, **kwargs) -> np.ndarray:
+        import scipy.fft
+        return getattr(scipy.fft, name)(*args, **kwargs)
+    return transform
+
+
+dct, idct, dst, idst = map(_scipy_fft, ("dct", "idct", "dst", "idst"))
 
 
 @dataclass(frozen=True)
@@ -462,6 +475,7 @@ def _subtract_operator(b: np.ndarray, u: np.ndarray, inv_dx2: float, beta: float
 def _norm(a: np.ndarray) -> float:
     """2-norm from BLAS nrm2, which rescales as it sums: the squares of a
     residual near the smallest normal float would underflow in a plain dot."""
+    from scipy.linalg import blas
     return float(blas.dnrm2(a.ravel()))
 
 

@@ -197,7 +197,11 @@ def _paper_problem(eps: float) -> ProblemSpec:
     pi = math.pi
 
     def f(x, y):
-        return np.sin(pi * (x**2 + y**2))
+        s = x**2 + y**2
+        if isinstance(s, np.ndarray):  # a fresh array: scale it and take its sine in place
+            s *= pi
+            return np.sin(s, out=s)
+        return np.sin(pi * s)
 
     def fy1(x, y):
         s = pi * (x**2 + y**2)

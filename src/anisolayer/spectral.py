@@ -8,8 +8,9 @@ cosine series of the expansion and of the matching-identity check goes
 through the two kernels here: ``analyze`` (samples on the Simpson nodes ->
 coefficients) and ``synthesize`` (coefficients -> values at any x).  The
 fast transforms of grid values do not: the reference solve's DCT-II and
-DST-I (``fdsolver``) and the cosine restriction of its error estimate
-(``validation._restrict_x``) call ``scipy.fft``.
+DST-I and the cosine restriction of its error estimate
+(``validation._restrict_x``) call ``scipy.fft`` through ``fdsolver``'s
+``dct``, ``idct``, ``dst`` and ``idst``, which import it at their first call.
 
 The second half of the module builds the stack of repeated x-antiderivatives
 F_0 = g, F_n(x, y) = integral_0^x F_{n-1}(z, y) dz of a zero-x-mean function

@@ -57,13 +57,12 @@ from dataclasses import asdict, dataclass
 from typing import IO, Literal, Sequence
 
 import numpy as np
-from scipy.fft import dct, idct
 
 from .errors import InsufficientPoints, NonPositiveNorm
 # composite stays importable from here: perfbench's tracer wraps it by this name
 from .expansion import ExpansionResult, _check_eps, _ExpansionBase, composite  # noqa: F401
 from .fdsolver import (CSV_FLOAT_FORMAT, DEFAULT_TOL, Field2D, Grid2D, _PreparedGrid,
-                       _sample, solve_fd)
+                       _sample, dct, idct, solve_fd)
 from .problem import DEFAULT_QUAD_POINTS, DecomposedProblem, ProblemSpec
 from .spectral import DEFAULT_MODES, AntiderivativeStack, analyze, mode_numbers
 

@@ -218,9 +218,11 @@ class TestSolveFd:
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
 def test_solves_start_no_threads():
     # a transform thread pool registers fork handlers, which can hang the
-    # forked CSV workers; a fresh interpreter has started no pool yet
+    # forked CSV workers; a fresh interpreter has started no pool yet.  The
+    # solves load scipy at their first transform and norm, and its BLAS starts
+    # a thread as it loads: loaded first, so that only the solves' own count
     code = (
-        "import os, anisolayer as a\n"
+        "import os, anisolayer as a, scipy.fft, scipy.linalg\n"
         "from anisolayer import fdsolver\n"
         "def count(): return len(os.listdir('/proc/self/task'))\n"
         "before = count()\n"

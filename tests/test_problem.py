@@ -120,6 +120,23 @@ class TestBuiltins:
         assert p.f(0.5, 0.5) == pytest.approx(1.0)  # sin(pi/2)
         assert len(p.f_y_derivs) == 4
 
+    def test_paper_force_is_its_formula_bit_for_bit(self):
+        # written to scale and take the sine in place, it must still return
+        # exactly sin(pi (x^2 + y^2)) and leave its arguments alone
+        f = builtin_problem("paper").f
+        rng = np.random.default_rng(5)
+        xs, ys = rng.uniform(0.0, 1.0, 33), rng.uniform(0.0, 1.0, 17)
+        xy = rng.uniform(-2.0, 2.0, (2, 4, 8))
+        cases = [(xs[:, None], ys[None, :]), (xy[0], xy[1]), (xs, 0.3), (0.7, ys),
+                 (np.float64(0.1), ys[3]), (0.25, 0.5)]
+        cases += [(float(x), float(y)) for x, y in zip(xs[:5], ys[:5])]
+        for x, y in cases:
+            kept = np.copy(x), np.copy(y)
+            got, want = f(x, y), np.sin(np.pi * (x**2 + y**2))
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            assert np.array_equal(x, kept[0]) and np.array_equal(y, kept[1])
+
     def test_paper_derivatives_match_finite_differences(self):
         assert check_derivatives(builtin_problem("paper"))
 

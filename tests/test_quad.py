@@ -79,15 +79,40 @@ class TestHermite:
         assert hermite(values, slopes, 1.5) == pytest.approx(1.5**3, abs=1e-14)
 
 
-def test_import_loads_no_heavy_scipy_module():
-    # the package needs scipy.fft and scipy.linalg only; each module below
-    # costs resident memory and start-up time in every process
-    code = ("import sys, anisolayer, anisolayer.cli; "
-            "print(' '.join(sorted(m for m in sys.modules if m.startswith('scipy.'))))")
+def _scipy_modules_after(code):
+    """The ``scipy*`` modules loaded once ``code`` has run in a fresh interpreter."""
+    code += "\nimport sys; print(' '.join(m for m in sys.modules if m.startswith('scipy')))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout.split()
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.splitlines()[-1].split()
+
+
+def test_import_loads_no_heavy_scipy_module():
+    # importing loads no scipy at all; the first transform loads scipy.fft
+    # and the first norm scipy.linalg, and nothing else of scipy is ever
+    # needed: each module below costs resident memory and start-up time
+    assert _scipy_modules_after("import anisolayer, anisolayer.cli") == []
+    out = _scipy_modules_after(
+        "import anisolayer as a, anisolayer.cli\n"
+        "p, grid = a.builtin_problem('paper', eps=0.2), a.Grid2D(8, 8)\n"
+        "a.solve_fd(p, grid)\n"
+        "a.composite(p, 1, n_modes=8, quad_points=64).evaluate_grid(grid.x_nodes(),\n"
+        "                                                           grid.y_nodes())")
     assert "scipy.fft" in out and "scipy.linalg" in out
     for heavy in ("scipy.integrate", "scipy.interpolate", "scipy.optimize", "scipy.sparse"):
         assert heavy not in out
+
+
+def test_monte_carlo_and_reports_load_no_scipy():
+    # the Feynman-Kac oracle (two forked chunks), the compatibility and
+    # matching-identity reports and a usage error never transform
+    assert _scipy_modules_after(
+        "import contextlib, io, anisolayer as a, anisolayer.cli\n"
+        "a.estimate_point(a.builtin_problem('paper', eps=0.2), 0.5, 0.5,\n"
+        "                 a.McConfig(dt=1e-3, n_paths=20_002, seed=1))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in (['check', '--problem', 'paper'], ['identity', '--problem', 'paper']):\n"
+        "        assert anisolayer.cli.run(argv) == 0\n"
+        "with contextlib.redirect_stderr(io.StringIO()):\n"
+        "    assert anisolayer.cli.run(['fd', '--nx', 'many']) != 0") == []
