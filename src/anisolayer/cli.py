@@ -17,14 +17,17 @@ uniform y-samples.
 Exit codes: 0 on success, 1 on usage errors (bad flags, unknown problem,
 inconsistent request, an output path that cannot be written; missing
 directories and directory targets are caught before any computation), on a
-request too large for memory (``MemoryError``) and on a worker process that
-dies while formatting a field CSV or simulating Monte Carlo paths
-(``ChildProcessError``), 2 on numerical failures (a solve that fails its
-residual check, non-finite data, violated integral conditions), and 141
-(128 + SIGPIPE), silently, when stdout is a pipe its reader closed.  Each
+request too large for memory (``MemoryError``) and on a Monte Carlo worker
+process that dies while simulating paths (``ChildProcessError``; field CSVs
+are written in the calling process), 2 on numerical failures (a solve that
+fails its residual check, non-finite data, violated integral conditions), and
+141 (128 + SIGPIPE), silently, when stdout is a pipe its reader closed.  Each
 failure is one line on stderr, without a traceback, and so is each warning,
-the library's included (``anisolayer <command>: warning: <message>``).  File
-outputs are deterministic for a fixed flag set and seed; CSV artifacts carry
+the library's included (``anisolayer <command>: warning: <message>``).  A
+write that fails removes the regular files the command opened for writing,
+so no partial artifact is left (a device such as ``/dev/full`` is never
+removed).
+File outputs are deterministic for a fixed flag set and seed; CSV artifacts carry
 '#'-prefixed metadata lines (tool version and config echo) above the header,
 JSON artifacts carry the same echo under a "meta" key.
 """
@@ -32,13 +35,15 @@ JSON artifacts carry the same echo under a "meta" key.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
 import os
+import stat
 import sys
 import warnings
-from typing import Sequence
+from typing import IO, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -206,11 +211,34 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, allow_nan=False)
 
 
+@contextlib.contextmanager
+def _artifacts() -> Iterator[Callable[[str], IO[str]]]:
+    """Yield ``create(path)``, which opens ``path`` for writing.  If the block
+    raises, every regular file so opened is removed again, so that a failed
+    write leaves no partial artifact; a device such as ``/dev/full`` or a
+    symbolic link is never removed."""
+    created = []
+
+    def create(path: str) -> IO[str]:
+        fh = open(path, "w", encoding="utf-8")
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            created.append(path)
+        return fh
+
+    try:
+        yield create
+    except BaseException:
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+        raise
+
+
 def _write_json(text: str, out: str | None) -> None:
     if out is None:
         print(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
+        with _artifacts() as create, create(out) as fh:
             fh.write(text + "\n")
 
 
@@ -235,7 +263,7 @@ def _check_output_paths(args: argparse.Namespace) -> None:
 
 
 def _field_to_csv(field: Field2D, out: str, meta: dict) -> None:
-    with open(out, "w", encoding="utf-8") as fh:
+    with _artifacts() as create, create(out) as fh:
         field.write_csv(fh, metadata=meta)
 
 
@@ -285,12 +313,15 @@ def _cmd_convergence(args) -> int:
         n_modes=args.modes, quad_points=args.quad_points, refine=args.refine,
     )
     meta = _meta(args)
-    # the sidecar's text first: if it fails, no CSV is left without its sidecar
+    # the sidecar's text first, and both files in one scope: if either
+    # fails, no CSV is left without its sidecar
     sidecar = _json_text({**report.sidecar_dict(), "meta": meta})
-    with open(args.out, "w", encoding="utf-8") as fh:
-        report.write_csv(fh, metadata=meta)
     sidecar_path = _sidecar_path(args.out)
-    _write_json(sidecar, sidecar_path)
+    with _artifacts() as create:
+        with create(args.out) as fh:
+            report.write_csv(fh, metadata=meta)
+        with create(sidecar_path) as fh:
+            fh.write(sidecar + "\n")
     print(f"wrote remainder table to {args.out} and slopes to {sidecar_path}")
     for n in report.orders:
         fit = report.slopes[n]

@@ -48,26 +48,29 @@ runs the division, the two inverse transforms, the residual certificate and
 any refinement (whose residuals it transforms afresh).  The fitted solve
 takes the x-DCT of f on every row afresh.  The transforms run
 single-threaded: a thread pool would register fork handlers, which can hang
-``Field2D.write_csv``'s forked workers.  The module imports scipy at its
-first transform (``scipy.fft``) and first residual norm (``scipy.linalg``),
-so the commands that never solve (``mc``, ``check``, ``identity``,
-``expand``, a usage error) never load it.  ``solve_fd`` samples and solves
-once; a convergence sweep samples its output grid once, solves it for every
-eps^2 and takes the coarser y-level of its estimate from every second row of
-its samples (``_PreparedGrid.coarsened``).
+the forked Monte Carlo workers of the same process.  The module imports
+scipy at its first transform (``scipy.fft``) and first residual norm
+(``scipy.linalg``), so the commands that never solve (``mc``, ``check``,
+``identity``, ``expand``, a usage error) never load it.  ``solve_fd``
+samples and solves once; a convergence sweep samples its output grid once,
+solves it for every eps^2 and takes the coarser y-level of its estimate from
+every second row of its samples (``_PreparedGrid.coarsened``).
+
+``Field2D.write_csv`` writes a field as CSV text in the calling process; its
+values are formatted by ``_value_tokens``, a numpy kernel that gives
+``format(v, '.17g')`` byte for byte and sends the few values it cannot
+decide to that call.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import closing
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import IO, Callable, Union
 
 import numpy as np
 
-from ._fork import forked_map
 from ._quad import check_finite
 from .errors import GridMismatch, NoConvergence
 from .problem import ProblemSpec
@@ -78,8 +81,18 @@ CSV_FLOAT_FORMAT = ".17g"
 _EPS_MACH = float(np.finfo(float).eps)
 # entries per block of the residual sweep: 512 KB of doubles
 _BLOCK_ENTRIES = 2**16
-# values per block of CSV rows formatted by one worker task: about 1 MB of text
+# values per block of CSV lines, any run of the j-outer, i-inner order (rows
+# may split): at most 1.2 MB of line matrix (75-byte lines) for any grid
 _CSV_BLOCK_ENTRIES = 2**14
+# _value_tokens formats |v| in this range, where 10^(16 - E) and Dekker's
+# split of both factors stay finite and normal; E = floor(log10 |v|) then
+# lies in [_E_LOW, _E_HIGH]
+_KERNEL_MIN, _KERNEL_MAX = 1e-280, 1e280
+_E_LOW, _E_HIGH = -281, 280
+# a scaled fraction this close to 1/2 is a possible tie: formatted exactly instead
+_TIE_MARGIN = 1e-6
+# the widest value token, "-1.2345678901234567e-280"
+_TOKEN = np.dtype((np.void, 24))
 
 
 def _scipy_fft(name: str) -> Callable[..., np.ndarray]:
@@ -140,40 +153,166 @@ class Field2D:
 
         Metadata entries become '#'-prefixed comment lines above the header.
 
-        The x tokens are formatted once, into a row template
-        ``"<x_1>,\\0,%.17g\\n<x_2>,\\0,%.17g\\n..."``.  Each y-row then costs
-        one ``str.replace`` of the placeholder by the y token and one ``%``
-        against the row's values.  ``'%.17g' % v`` and ``format(v, '.17g')``
-        go through the same float-to-string routine, so every token is the
-        ``.17g`` string a per-node f-string would give.
-
-        The y-rows are formatted in blocks of whole rows, about
-        ``_CSV_BLOCK_ENTRIES`` values each, on forked workers, one per usable
-        core (see ``_fork.forked_map``); a one-block field is formatted in
-        the calling process.  The caller writes the blocks to ``stream`` in
-        order, so the bytes are the same whatever the core count, and memory
-        stays bounded by one block of text per worker.
+        Every token is the ``.17g`` string a per-node f-string would give,
+        byte for byte.  The x and y tokens are formatted once each, by
+        ``format``; the values go through ``_value_tokens``, a numpy kernel.
+        The rows are written in blocks of ``_CSV_BLOCK_ENTRIES`` values, in
+        the calling process: a block is a fixed-width byte matrix of lines
+        (x token, y token, value token, newline), whose NUL padding one
+        ``bytes.translate`` deletes.  Memory stays bounded by one block,
+        whatever the grid.
         """
         for key, val in (metadata or {}).items():
             stream.write(f"# {key}: {val}\n")
         stream.write("x,y,value\n")
-        fmt = CSV_FLOAT_FORMAT
-        row = "".join(f"{x:{fmt}},\0,%{fmt}\n" for x in self.grid.x_nodes())
-        rows_per_block = max(1, _CSV_BLOCK_ENTRIES // self.grid.n_x)
-        n_blocks = -(-(self.grid.n_y + 1) // rows_per_block)
-        job = (row, self.grid.y_nodes(), self.values, rows_per_block)
-        with closing(forked_map(_format_rows, job, n_blocks)) as blocks:
-            for text in blocks:
-                stream.write(text)
+        xs, ys = _tokens(self.grid.x_nodes()), _tokens(self.grid.y_nodes())
+        line = np.dtype([("x", xs.dtype), ("y", ys.dtype), ("value", _TOKEN), ("end", np.uint8)])
+        size = self.values.size
+        for start in range(0, size, _CSV_BLOCK_ENTRIES):
+            j, i = np.divmod(np.arange(start, min(start + _CSV_BLOCK_ENTRIES, size)),
+                             self.grid.n_x)
+            lines = np.empty(i.size, dtype=line)
+            lines["x"], lines["y"], lines["end"] = xs[i], ys[j], ord("\n")
+            _value_tokens(self.values[i, j], lines["value"])
+            stream.write(lines.tobytes().translate(None, b"\0").decode("ascii"))
 
 
-def _format_rows(job: tuple, index: int) -> str:
-    """CSV text of the ``index``-th block of y-rows."""
-    row, ys, values, rows_per_block = job
-    rows = slice(index * rows_per_block, (index + 1) * rows_per_block)
-    fmt = CSV_FLOAT_FORMAT
-    return "".join(row.replace("\0", f"{y:{fmt}}") % tuple(col.tolist())
-                   for y, col in zip(ys[rows], values.T[rows]))
+def _tokens(nodes: np.ndarray) -> np.ndarray:
+    """The CSV tokens ``"<node>,"`` of the nodes, NUL-padded to one width."""
+    texts = np.array([f"{x:{CSV_FLOAT_FORMAT}},".encode() for x in nodes.tolist()])
+    return texts.view(np.dtype((np.void, texts.itemsize)))
+
+
+def _format_fallback(value: float) -> str:
+    """The ``.17g`` token of one value that ``_value_tokens`` cannot decide."""
+    return format(value, CSV_FLOAT_FORMAT)
+
+
+def _dekker_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split a = hi + lo, each half with at most 26 significant bits."""
+    c = a * 134217729.0  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+@cache
+def _kernel_tables() -> tuple[np.ndarray, ...]:
+    """The tables of ``_value_tokens``, built at the first write.
+
+    ``hi[k] + lo[k]`` is 10^(16 - E) for E = ``_E_HIGH - k``, from ``_E_HIGH``
+    down to ``_E_LOW``, to about 2^-106 relative: ``hi`` is the power rounded
+    to the nearest double and ``lo`` its remainder rounded, both from exact
+    Python integer arithmetic (int true division rounds correctly); ``head``
+    and ``tail`` are Dekker's split of ``hi``.  ``quads`` holds the four ASCII
+    digits of 0..9999 as one uint32 each, then the same with trailing zeros
+    as NUL.
+    """
+    hi, lo = [], []
+    for k in range(16 - _E_HIGH, 17 - _E_LOW):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        h = num / den
+        p, q = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * q - p * den) / (den * q))
+    hi = np.array(hi)
+    g = np.arange(10000)[:, None]
+    digits = (g // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+    stripped = digits.copy()
+    zero_tail = np.ones(10000, dtype=bool)
+    for c in range(3, -1, -1):
+        zero_tail &= digits[:, c] == ord("0")
+        stripped[zero_tail, c] = 0
+    quads = np.concatenate([digits, stripped]).view(np.uint32).ravel()
+    return (hi, *_dekker_split(hi), np.array(lo), quads)
+
+
+def _value_tokens(v: np.ndarray, out: np.ndarray) -> None:
+    """Write the ``.17g`` token of each double of ``v`` into ``out``, a
+    ``_TOKEN`` array of v's length, with NUL in every byte that holds no
+    character.
+
+    A lane with |v| in [``_KERNEL_MIN``, ``_KERNEL_MAX``] takes its decimal
+    exponent E from ``log10``, corrected by one where |v| 10^(16 - E) falls
+    outside [10^16, 10^17).  That scaling is a double-double: Dekker's exact
+    product P + err of |v| and the rounded power ``hi``, plus |v| times the
+    power's remainder ``lo`` (``_kernel_tables``), gives X = P + L with P an
+    integer, to about 2e-15.  The 17-digit significand is D = P + floor(L),
+    plus one where X's fraction exceeds 1/2.  A lane the kernel cannot decide
+    goes to ``_format_fallback``, once per distinct value of the block:
+      * a fraction within ``_TIE_MARGIN`` of 1/2, where round-half-even on
+        the exact value decides;
+      * an integer part or a D outside [10^16, 10^17), which a misjudged E
+        gives (just below a power of ten);
+      * a zero, a subnormal or an |v| outside the range.
+    The digits come from 4-digit tables, one with trailing zeros as NUL, and
+    are laid out per distinct E, which alone places the point, the leading
+    zeros and the exponent suffix.
+    """
+    hi_t, hi_head, hi_tail, lo_t, quads = _kernel_tables()
+    a = np.abs(v)
+    ok = (a >= _KERNEL_MIN) & (a <= _KERNEL_MAX)
+    a[~ok] = 1.0
+    e = np.floor(np.log10(a)).astype(np.int64)
+    p = a * hi_t[_E_HIGH - e]
+    e += p >= 1e17
+    e -= p < 1e16
+    np.clip(e, _E_LOW, _E_HIGH, out=e)
+    k = _E_HIGH - e
+    p = a * hi_t[k]
+    a_head, a_tail = _dekker_split(a)
+    head, tail = hi_head[k], hi_tail[k]
+    # the rounding error of p, exactly (Dekker's TwoProduct), plus a lo[k]
+    lo = ((a_head * head - p) + a_head * tail + a_tail * head) + a_tail * tail + a * lo_t[k]
+    whole = np.floor(lo)
+    frac = lo - whole
+    whole = p.astype(np.int64) + whole.astype(np.int64)
+    d = whole + (frac > 0.5)
+    ok &= (np.abs(frac - 0.5) >= _TIE_MARGIN) & (whole >= 10**16) & (d < 10**17)
+
+    # the decided lanes, sorted by exponent (as int16, which numpy radix-sorts)
+    lanes = np.flatnonzero(ok)
+    lanes = lanes[np.argsort(e[lanes].astype(np.int16), kind="stable")]
+    d, e = d[lanes], e[lanes]
+    lead, rest = np.divmod(d, 10**16)
+    upper, lower = np.divmod(rest, 10**8)
+    quad = np.empty((lanes.size, 4), dtype=np.int64)
+    quad[:, 0], quad[:, 1] = np.divmod(upper, 10**4)
+    quad[:, 2], quad[:, 3] = np.divmod(lower, 10**4)
+    # a quad followed by zero quads only sheds its trailing zeros
+    quad[:, 3] += 10000
+    for c in (2, 1, 0):
+        quad[:, c] += 10000 * (quad[:, c + 1] == 10000)
+    digits = quads[quad].view(np.uint8)
+    lead += ord("0")
+    tokens = np.zeros((lanes.size, _TOKEN.itemsize), dtype=np.uint8)
+    tokens[:, 0] = (v[lanes] < 0) * ord("-")
+    starts = np.flatnonzero(np.diff(e, prepend=e[:1] - 1)).tolist()
+    for s, t in zip(starts, [*starts[1:], lanes.size]):
+        exp, token, first, others = int(e[s]), tokens[s:t], lead[s:t], digits[s:t]
+        if -4 <= exp < 0:  # 0.000ddd
+            z = -exp - 1
+            token[:, 1:3 + z] = ord("0")
+            token[:, 2] = ord(".")
+            token[:, 3 + z] = first
+            token[:, 4 + z:20 + z] = others
+            continue
+        token[:, 1] = first
+        if 0 <= exp <= 16:  # ddd.ddd, the integer part's zeros kept
+            np.maximum(others[:, :exp], ord("0"), out=token[:, 2:2 + exp])
+            if exp < 16:
+                token[:, 2 + exp] = (others[:, exp] != 0) * ord(".")
+                token[:, 3 + exp:19] = others[:, exp:]
+        else:  # d.ddde+XX
+            token[:, 2] = (others[:, 0] != 0) * ord(".")
+            token[:, 3:19] = others
+            suffix = b"e%+03d" % exp
+            token[:, 19:19 + len(suffix)] = np.frombuffer(suffix, dtype=np.uint8)
+    out[lanes] = tokens.view(_TOKEN).ravel()
+    slow = np.flatnonzero(~ok)
+    if slow.size:
+        bits, inverse = np.unique(v[slow].view(np.uint64), return_inverse=True)
+        texts = [_format_fallback(x).encode() for x in bits.view(np.float64).tolist()]
+        out[slow] = np.array(texts, dtype=f"S{_TOKEN.itemsize}").view(_TOKEN)[inverse]
 
 
 @dataclass(frozen=True)

@@ -621,21 +621,57 @@ def test_out_of_memory_is_one_line_error(command, message, tmp_path, monkeypatch
     _assert_one_line_usage_error(code, capsys, command, "out of memory", message)
 
 
-def test_worker_death_while_writing_is_one_line_error(tmp_path, monkeypatch, capsys):
-    # eight blocks of two y-rows, formatted on two forked workers
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+@pytest.mark.parametrize("command", ["fd", "expand"])
+def test_failed_write_leaves_no_file(command, tmp_path, monkeypatch, capsys):
+    # the disk fills after the header and the first block reached the file
     monkeypatch.setattr(fdsolver, "_CSV_BLOCK_ENTRIES", 16)
-    caller, format_rows = os.getpid(), fdsolver._format_rows
+    real_write_csv = Field2D.write_csv
 
-    def format_or_die(job, index):
-        if index == 1 and os.getpid() != caller:
-            os._exit(3)
-        return format_rows(job, index)
+    class FillingStream:
+        def __init__(self, stream, room):
+            self.stream, self.room = stream, room
 
-    monkeypatch.setattr(fdsolver, "_format_rows", format_or_die)
-    code = run(_PATH_CASES["fd"][1] + ["--out", str(tmp_path / "field.csv")])
-    _assert_one_line_usage_error(code, capsys, "fd", "worker process died")
-    assert multiprocessing.active_children() == []
+        def write(self, text):
+            if not self.room:
+                self.stream.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+            self.room -= 1
+            return self.stream.write(text)
+
+    def write_until_full(self, stream, metadata=None):
+        # room for the metadata lines, the header and one block
+        real_write_csv(self, FillingStream(stream, len(metadata) + 2), metadata)
+
+    monkeypatch.setattr(Field2D, "write_csv", write_until_full)
+    out = tmp_path / "field.csv"
+    written = []
+    real_unlink = os.unlink
+    monkeypatch.setattr(os, "unlink",
+                        lambda path: (written.append(Path(path).read_text()), real_unlink(path)))
+    code = run(_PATH_CASES[command][1] + ["--out", str(out)])
+    _assert_one_line_usage_error(code, capsys, command, "No space left on device")
+    assert list(tmp_path.iterdir()) == []
+    # the partial file was there, and was removed
+    assert len(written) == 1 and written[0].split("x,y,value\n")[1].count("\n") == 16
+
+
+def test_failed_sidecar_write_leaves_no_csv(tmp_path, monkeypatch, capsys):
+    def refuse(text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    real_open = open
+    sidecar = tmp_path / "table.json"
+
+    def open_or_fail(path, *args, **kwargs):
+        fh = real_open(path, *args, **kwargs)
+        if Path(path) == sidecar:
+            fh.write = refuse
+        return fh
+
+    monkeypatch.setattr(cli_module, "open", open_or_fail, raising=False)
+    code = run(_PATH_CASES["convergence"][1] + ["--out", str(tmp_path / "table.csv")])
+    _assert_one_line_usage_error(code, capsys, "convergence", "No space left on device")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -649,14 +685,19 @@ def test_full_device_is_one_line_error(monkeypatch, capsys):
 
 @pytest.mark.parametrize("command", ["fd", "expand"])
 def test_small_field_runs_fork_nothing(command, tmp_path, monkeypatch):
+    # the field CSV is written in the calling process, one block or many
     def refuse(proc):
-        raise AssertionError("a one-block field forked a worker")
+        raise AssertionError("writing a field CSV started a process")
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(ForkProcess, "start", refuse)
     out = tmp_path / "field.csv"
-    assert run(_PATH_CASES[command][1] + ["--out", str(out)]) == 0
-    assert out.read_text().count("x,y,value\n") == 1
+    texts = []
+    for block in (fdsolver._CSV_BLOCK_ENTRIES, 16):
+        monkeypatch.setattr(fdsolver, "_CSV_BLOCK_ENTRIES", block)
+        assert run(_PATH_CASES[command][1] + ["--out", str(out)]) == 0
+        texts.append(out.read_text())
+    assert texts[0] == texts[1] and texts[0].count("x,y,value\n") == 1
 
 
 def test_fd_tiny_eps_never_writes_zero_interior(tmp_path, capsys):

@@ -5,6 +5,8 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from multiprocessing.context import ForkProcess
 from pathlib import Path
 
@@ -218,9 +220,10 @@ class TestSolveFd:
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
 def test_solves_start_no_threads():
     # a transform thread pool registers fork handlers, which can hang the
-    # forked CSV workers; a fresh interpreter has started no pool yet.  The
-    # solves load scipy at their first transform and norm, and its BLAS starts
-    # a thread as it loads: loaded first, so that only the solves' own count
+    # forked Monte Carlo workers; a fresh interpreter has started no pool
+    # yet.  The solves load scipy at their first transform and norm, and its
+    # BLAS starts a thread as it loads: loaded first, so that only the
+    # solves' own count
     code = (
         "import os, anisolayer as a, scipy.fft, scipy.linalg\n"
         "from anisolayer import fdsolver\n"
@@ -482,8 +485,9 @@ class TestFieldCsv:
     @pytest.mark.parametrize("n_x,n_y", [(3, 2**14), (fdsolver._CSV_BLOCK_ENTRIES + 5, 2)],
                              ids=["tall", "row-above-block"])
     def test_multi_block_bytes_match_on_any_core_count(self, n_x, n_y, cores, monkeypatch):
-        # blocks formatted on forked workers are written in order by the caller;
-        # the header, written before the fork, appears once
+        # every block is formatted and written in order by the calling process,
+        # whatever the core count; blocks need not hold whole rows, and the
+        # header appears once
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
         starts = []
         real_start = ForkProcess.start
@@ -494,24 +498,25 @@ class TestFieldCsv:
         buf = io.StringIO()
         field.write_csv(buf, metadata=metadata)
         assert buf.getvalue() == self._per_node_reference(field, metadata)
-        rows_per_block = max(1, fdsolver._CSV_BLOCK_ENTRIES // n_x)
-        n_blocks = -(-(n_y + 1) // rows_per_block)
-        assert n_blocks >= 3
-        assert len(starts) == (0 if cores == 1 else cores)
+        assert n_x * (n_y + 1) > 3 * fdsolver._CSV_BLOCK_ENTRIES
+        assert fdsolver._CSV_BLOCK_ENTRIES % n_x  # a block boundary splits a row
+        assert starts == []
         assert multiprocessing.active_children() == []
 
     def test_one_block_field_never_forks(self, monkeypatch):
+        # no field size starts a process: one block or many
         def refuse(proc):
-            raise AssertionError("a one-block field forked a worker")
+            raise AssertionError("write_csv started a process")
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(ForkProcess, "start", refuse)
         p = builtin_problem("paper", eps=0.2)
-        for grid in (Grid2D(16, 16), Grid2D(64, 128)):
+        for grid in (Grid2D(16, 16), Grid2D(64, 128), Grid2D(128, 1024)):
             field, _ = solve_fd(p, grid)
             buf = io.StringIO()
             field.write_csv(buf, metadata={"tool": "anisolayer test"})
             assert buf.getvalue() == self._per_node_reference(field, {"tool": "anisolayer test"})
+        assert 128 * 1025 > 8 * fdsolver._CSV_BLOCK_ENTRIES
 
     def test_stream_error_propagates_and_stops_workers(self, monkeypatch):
         class FailingStream(io.StringIO):
@@ -525,15 +530,10 @@ class TestFieldCsv:
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         field = self._awkward_field(3, 2**14)
+        stream = FailingStream()
         with pytest.raises(OSError, match="No space left"):
-            field.write_csv(FailingStream(), metadata={"tool": "anisolayer test"})
-        assert multiprocessing.active_children() == []
-
-    def test_worker_death_is_child_process_error(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(fdsolver, "_format_rows", _dies_in_worker(fdsolver._format_rows))
-        with pytest.raises(ChildProcessError):
-            self._awkward_field(3, 2**14).write_csv(io.StringIO())
+            field.write_csv(stream, metadata={"tool": "anisolayer test"})
+        assert stream.writes == 4  # nothing is written after the error
         assert multiprocessing.active_children() == []
 
     def test_rejects_bad_shape(self):
@@ -541,12 +541,126 @@ class TestFieldCsv:
             Field2D(grid=Grid2D(4, 4), values=np.zeros((4, 4)))
 
 
-def _dies_in_worker(format_rows):
-    """A block formatter that exits the worker process formatting block 1."""
-    caller = os.getpid()
+def _kernel_tokens(values):
+    """The tokens ``fdsolver._value_tokens`` gives for an array of doubles."""
+    out = np.empty(values.size, dtype=fdsolver._TOKEN)
+    fdsolver._value_tokens(values, out)
+    lines = np.empty((values.size, out.itemsize + 1), dtype=np.uint8)
+    lines[:, :-1] = out.view(np.uint8).reshape(values.size, -1)
+    lines[:, -1] = ord("\n")
+    return lines.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
 
-    def format_or_die(job, index):
-        if index == 1 and os.getpid() != caller:
-            os._exit(3)
-        return format_rows(job, index)
-    return format_or_die
+
+def _recorded_fallbacks(monkeypatch):
+    """Record every value ``_value_tokens`` sends to ``_format_fallback``."""
+    sent, real = [], fdsolver._format_fallback
+    monkeypatch.setattr(fdsolver, "_format_fallback", lambda v: (sent.append(v), real(v))[1])
+    return sent
+
+
+class TestValueTokens:
+    @staticmethod
+    def _sweep():
+        rng = np.random.default_rng(20241)
+        bits = rng.integers(0, 2**64, 400_000, dtype=np.uint64).view(np.float64)
+        powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
+        neighbours, up, down = [powers], powers, powers
+        for _ in range(3):
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
+            neighbours += [up, down]
+        neighbours = np.concatenate(neighbours)
+        return np.concatenate([
+            bits[np.isfinite(bits)],  # every exponent, subnormals included
+            rng.standard_normal(200_000),
+            rng.uniform(-1e-3, 1e-3, 100_000),
+            rng.integers(-10**17, 10**17, 100_000).astype(float),
+            rng.integers(-10**6, 10**6, 100_000).astype(float),
+            rng.integers(-2**40, 2**40, 100_000) / 2.0 ** rng.integers(1, 60, 100_000),
+            neighbours, -neighbours,
+            [0.0, -0.0, 5e-324, -5e-324, -2.5e-310, 1e300, -1e300],
+        ])
+
+    def test_sweep_matches_format(self):
+        values = self._sweep()
+        assert values.size >= 10**6
+        got = _kernel_tokens(values)
+        want = [format(v, ".17g") for v in values.tolist()]
+        bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+        assert len(got) == len(want) and bad == []
+
+    def test_power_tables_are_exact(self):
+        hi, head, tail, lo, quads = fdsolver._kernel_tables()
+        for k, (h, l) in enumerate(zip(hi.tolist(), lo.tolist())):
+            power = Fraction(10) ** (16 - (fdsolver._E_HIGH - k))
+            assert h == float(power) and l == float(power - Fraction(h))
+        assert np.array_equal(head + tail, hi)
+        assert bytes(quads[[7, 1200, 10000 + 1200, 10000]].view(np.uint8)) == b"0007120012" + bytes(6)
+
+    def test_near_tie_goes_to_fallback(self, monkeypatch):
+        # v = 1 + k 2^-52 scales to 10^16 + k 5^16 / 2^36, so the fraction of
+        # the scaled value is (k 5^16 mod 2^36) / 2^36: a seeded search for
+        # fractions within 1e-6 of 1/2, checked afresh in exact decimals
+        rng = np.random.default_rng(7)
+        k = rng.integers(0, 2**36, 2**21, dtype=np.uint64)
+        r = ((k * np.uint64(5**16)) & np.uint64(2**36 - 1)).astype(np.int64)
+        near = 1.0 + k[np.abs(r - 2**35) < 1e-6 * 2**36] * 2.0**-52
+        near = np.append(near, 1.0 + 2.0**-17)  # an exact tie, rounded to even
+        assert near.size >= 2
+        with localcontext(prec=80):
+            for v in near.tolist():
+                assert abs((Decimal(v) * 10**16) % 1 - Decimal("0.5")) < Decimal("1e-6")
+        sent = _recorded_fallbacks(monkeypatch)
+        values = np.concatenate([near, [0.25, 1.0 / 3.0]])
+        assert _kernel_tokens(values) == [format(v, ".17g") for v in values.tolist()]
+        assert sent == sorted(near.tolist())
+        assert format(1.0 + 2.0**-17, ".17g") == "1.0000076293945312"
+
+    @pytest.mark.parametrize("value", [1e300, -1e-290, 5e-324, -2.5e-310, 0.0, -0.0],
+                             ids=["huge", "tiny", "subnormal", "negative-subnormal", "zero",
+                                  "negative-zero"])
+    def test_out_of_range_and_zero_go_to_fallback(self, value, monkeypatch):
+        sent = _recorded_fallbacks(monkeypatch)
+        values = np.array([0.5, value, 3.0, value])
+        assert _kernel_tokens(values) == [format(v, ".17g") for v in values.tolist()]
+        # once per distinct value, and a zero keeps its sign
+        assert [np.copysign(1.0, v) for v in sent] == [np.copysign(1.0, value)]
+        assert sent == [value]
+
+    def test_block_of_fallbacks_only(self, monkeypatch):
+        sent = _recorded_fallbacks(monkeypatch)
+        values = np.array([0.0, -0.0, 1e300, 0.0])
+        assert _kernel_tokens(values) == ["0", "-0", "1.0000000000000001e+300", "0"]
+        assert len(sent) == 3
+        field = Field2D(grid=Grid2D(4, 4), values=np.zeros((4, 5)))
+        buf = io.StringIO()
+        field.write_csv(buf)
+        assert buf.getvalue() == TestFieldCsv._per_node_reference(field, None)
+
+    @pytest.mark.parametrize("value", [1e-6, 0.09999999999999999, 1e-14, 1e20])
+    def test_significand_out_of_range_goes_to_fallback(self, value, monkeypatch):
+        # just below a power of ten, the exponent log10 gives is one too high
+        # and the integer part falls below 10^16 (1e-14 and 1e20 round up to a
+        # power of ten); the significand check catches both
+        sent = _recorded_fallbacks(monkeypatch)
+        values = np.array([value, -value, 0.125])
+        assert _kernel_tokens(values) == [format(v, ".17g") for v in values.tolist()]
+        assert sorted(sent) == sorted([value, -value])
+
+    def test_paper_field_takes_the_fast_path(self, monkeypatch):
+        p = builtin_problem("paper", eps=0.1)
+        field, _ = solve_fd(p, Grid2D(128, 4096))
+        sent = _recorded_fallbacks(monkeypatch)
+        field.write_csv(io.StringIO())
+        assert len(sent) <= 8
+
+    def test_tables_wait_for_the_first_write(self):
+        code = ("import sys, anisolayer.cli\n"
+                "from anisolayer import fdsolver\n"
+                "print(fdsolver._kernel_tables.cache_info().currsize,"
+                " 'fractions' in sys.modules, 'decimal' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout.split()
+        assert out == ["0", "False", "False"]
+
