@@ -222,8 +222,8 @@ def test_solves_start_no_threads():
     # a transform thread pool registers fork handlers, which can hang the
     # forked Monte Carlo workers; a fresh interpreter has started no pool
     # yet.  The solves load scipy at their first transform and norm, and its
-    # BLAS starts a thread as it loads: loaded first, so that only the
-    # solves' own count
+    # BLAS starts a thread as it loads: loaded first, so that only the solves'
+    # own count
     code = (
         "import os, anisolayer as a, scipy.fft, scipy.linalg\n"
         "from anisolayer import fdsolver\n"
