@@ -41,20 +41,23 @@ orthonormal DCT of u (Parseval).
 
 The work splits at eps.  ``_sample`` evaluates phi0, phi1 and f on one
 grid once, into a ``_PreparedGrid`` that holds these eps-free samples; each
-scheme assembles its own right-hand side from them.  The forward
-DCT-II/DST-I of the five-point one, f + (boundary rows) / dy^2, is computed
-at the first five-point solve and kept, so a five-point solve for one eps^2
-runs the division, the two inverse transforms, the residual certificate and
-any refinement (whose residuals it transforms afresh).  The fitted solve
-takes the x-DCT of f on every row afresh.  The transforms run
-single-threaded: a thread pool would register fork handlers, which can hang
-the forked Monte Carlo workers of the same process.  The module imports
-scipy at its first transform (``scipy.fft``) and first residual norm
-(``scipy.linalg``), so the commands that never solve (``mc``, ``check``,
-``identity``, ``expand``, a usage error) never load it.  ``solve_fd``
-samples and solves once; a convergence sweep samples its output grid once,
-solves it for every eps^2 and takes the coarser y-level of its estimate from
-every second row of its samples (``_PreparedGrid.coarsened``).
+scheme assembles its own right-hand side from them.  A five-point solve
+holds one grid-sized array beyond the samples, the field it returns: the
+division and the two inverse transforms run in the field's own interior
+rows, and the residual certificate streams over blocks of x-rows (a rare
+refinement pass, whose residual it transforms afresh, holds its own
+arrays).  ``solve_fd`` samples and solves once, taking the forward
+DCT-II/DST-I of f + (boundary rows) / dy^2 inside the field too; a
+convergence sweep samples its output grid once, keeps those transforms for
+every eps^2 (``_PreparedGrid._rhs_hat``) and takes the coarser y-level of
+its estimate from every second row of its samples
+(``_PreparedGrid.coarsened``).  The fitted solve takes the x-DCT of f on
+every row afresh.  The transforms run single-threaded: a thread pool would
+register fork handlers, which can hang the forked Monte Carlo workers of the
+same process.  Norms are summed by ``np.einsum``, not BLAS.  The module
+imports scipy at its first transform (``scipy.fft``, the only part of scipy
+a solve loads), so the commands that never solve (``mc``, ``check``,
+``identity``, ``expand``, a usage error) never load it.
 
 ``Field2D.write_csv`` writes a field as CSV text in the calling process; its
 values are formatted by ``_value_tokens``, a numpy kernel that gives
@@ -81,6 +84,9 @@ CSV_FLOAT_FORMAT = ".17g"
 _EPS_MACH = float(np.finfo(float).eps)
 # entries per block of the residual sweep: 512 KB of doubles
 _BLOCK_ENTRIES = 2**16
+# a sum of squares from here up lost nothing that matters to underflow: at
+# most 2^-1074 per entry, under 1e-30 of it for any array that fits in memory
+_SQUARES_MIN = 1e-280
 # values per block of CSV lines, any run of the j-outer, i-inner order (rows
 # may split): at most 1.2 MB of line matrix (75-byte lines) for any grid
 _CSV_BLOCK_ENTRIES = 2**14
@@ -356,7 +362,7 @@ def solve_fd(p: ProblemSpec, grid: Grid2D, tol: float = DEFAULT_TOL,
         ValueError: ``tol`` or ``max_iter`` out of range, or eps^2
             underflows to 0.
     """
-    return _sample(p, grid).solve(p.eps**2, tol=tol, max_iter=max_iter)
+    return _sample(p, grid)._solve(p.eps**2, tol, max_iter, keep_rhs=False)
 
 
 def _sample(p: ProblemSpec, grid: Grid2D) -> _PreparedGrid:
@@ -380,7 +386,9 @@ class _PreparedGrid:
     and of f on all n_y + 1 rows (``f``), as ``_sample`` takes them, and the
     eigenvalues of the grid.  ``solve`` and ``solve_fitted`` each assemble
     their own right-hand side from the samples for any eps^2, ``solve`` from
-    the forward transforms ``_rhs_hat`` that its first call keeps.
+    the forward transforms ``_rhs_hat`` that its first call keeps.  The
+    five-point solution is computed in the field it returns (module
+    docstring).
     """
 
     def __init__(self, grid: Grid2D, bottom: np.ndarray, top: np.ndarray, f: np.ndarray):
@@ -407,20 +415,23 @@ class _PreparedGrid:
         return _PreparedGrid(Grid2D(self.grid.n_x, self.grid.n_y // 2), self.bottom, self.top,
                              self.f[:, ::2])
 
-    def _five_point_rhs(self, eps2: float) -> np.ndarray:
-        """eps^2 (f + boundary rows / dy^2) on the interior, a new array: b of
-        the rescaled five-point system, or at eps^2 = 1 the unscaled one."""
-        b = self.f[:, 1:-1].copy()
-        b[:, 0] += self._inv_dy2 * self.bottom
-        b[:, -1] += self._inv_dy2 * self.top
+    def _five_point_rhs(self, eps2: float, rows: slice = slice(None)) -> np.ndarray:
+        """eps^2 (f + boundary rows / dy^2) on the interior x-rows ``rows``, a
+        new array: b of the rescaled five-point system, or at eps^2 = 1 the
+        unscaled one."""
+        b = self.f[rows, 1:-1].copy()
+        b[:, 0] += self._inv_dy2 * self.bottom[rows]
+        b[:, -1] += self._inv_dy2 * self.top[rows]
         b *= eps2
         return b
 
     @cached_property
     def _rhs_hat(self) -> np.ndarray:
         """The forward transforms of the unscaled five-point right-hand side, which
-        do not depend on eps: computed at the first five-point solve and kept."""
-        return _forward(self._five_point_rhs(1.0))
+        do not depend on eps: computed at the first ``solve`` and kept."""
+        b = self._five_point_rhs(1.0)
+        _forward(b)
+        return b
 
     def _zero_solution(self, eps2: float) -> tuple[Field2D, SolveStats] | None:
         """Reject an eps^2 of 0; the zero solution when all data vanish, else None."""
@@ -433,7 +444,16 @@ class _PreparedGrid:
 
     def solve(self, eps2: float, tol: float = DEFAULT_TOL,
               max_iter: int = DEFAULT_MAX_ITER) -> tuple[Field2D, SolveStats]:
-        """The five-point solution for anisotropy eps^2 (see ``solve_fd``)."""
+        """The five-point solution for anisotropy eps^2 (see ``solve_fd``),
+        from the forward transforms of the right-hand side that the first call
+        keeps for the next eps^2."""
+        return self._solve(eps2, tol, max_iter, keep_rhs=True)
+
+    def _solve(self, eps2: float, tol: float, max_iter: int,
+               keep_rhs: bool) -> tuple[Field2D, SolveStats]:
+        """``solve``, or with ``keep_rhs`` false the one-shot solve of
+        ``solve_fd``, which takes the forward transforms in the field instead
+        of keeping them.  Either gives the same bits."""
         if tol < 1e-14:
             raise ValueError(f"tol must be >= 1e-14, got {tol}")
         if max_iter < 1:
@@ -447,30 +467,55 @@ class _PreparedGrid:
         with np.errstate(over="ignore"):
             mu = self._mu / eps2
         lam = self._lam
+        blocks = _row_blocks((self.grid.n_x, self.grid.n_y - 1))
 
-        def invert(b_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
-            """(A_x / eps^2 + A_y)^{-1} b from b's transforms ``b_hat``,
-            computed in ``out``'s memory (which may be ``b_hat``)."""
+        def invert(b_hat: np.ndarray, out: np.ndarray) -> None:
+            """(A_x / eps^2 + A_y)^{-1} b into ``out`` from b's transforms
+            ``b_hat`` (which may be ``out``)."""
             # over blocks of x-rows, so that the divisor stays small
-            for rows in _row_blocks(out.shape):
+            for rows in blocks:
                 np.divide(b_hat[rows], mu[rows, None] + lam, out=out[rows])
-            out = idst(out, type=1, axis=1, overwrite_x=True)
-            return idct(out, type=2, axis=0, overwrite_x=True)
+            _keep(out, idst(out, type=1, axis=1, overwrite_x=True))
+            _keep(out, idct(out, type=2, axis=0, overwrite_x=True))
 
-        u = invert(self._rhs_hat, np.empty_like(self._rhs_hat))
-        r = self._five_point_rhs(eps2)
-        rhs_norm = _norm(r)
+        full = self._field_array()
+        u = full[:, 1:-1]
+        if keep_rhs:
+            invert(self._rhs_hat, u)
+        else:
+            for rows in blocks:
+                u[rows] = self._five_point_rhs(1.0, rows)
+            _forward(u)
+            invert(u, u)
+        residual, rhs_norm, u_norm = self._residual_norms(u, eps2, beta)
         for iterations in range(1, max_iter + 1):
-            _subtract_operator(r, u, inv_dx2, beta)
-            stats = _certificate("five-point", _norm(r), rhs_norm, _norm(u), inv_dx2 + beta,
+            stats = _certificate("five-point", residual, rhs_norm, u_norm, inv_dx2 + beta,
                                  tol, iterations, final=iterations == max_iter)
             if stats is not None:
-                break
-            r /= eps2
-            u += invert(_forward(r), r)
+                return Field2D(grid=self.grid, values=full), stats
+            # refine: u += solve(b - A u), the residual held in full
             r = self._five_point_rhs(eps2)
-        del r
-        return self._field(u), stats
+            _subtract_operator(r, u, inv_dx2, beta)
+            r /= eps2
+            _forward(r)
+            invert(r, r)
+            u += r
+            del r
+            residual, _, u_norm = self._residual_norms(u, eps2, beta)
+
+    def _residual_norms(self, u: np.ndarray, eps2: float,
+                        beta: float) -> tuple[float, float, float]:
+        """||b - A u||_2, ||b||_2 and ||u||_2 of the rescaled five-point
+        system, streamed over blocks of x-rows: b and the residual are never
+        held in full."""
+        norms = []
+        for rows in _row_blocks(u.shape):
+            r = self._five_point_rhs(eps2, rows)
+            rhs_norm = _norm(r)
+            _subtract_block(r, u, rows, self._inv_dx2, beta)
+            norms.append((_norm(r), rhs_norm, _norm(u[rows])))
+        residual, rhs_norm, u_norm = (_norm(column) for column in np.array(norms).T)
+        return residual, rhs_norm, u_norm
 
     def solve_fitted(self, eps2: float) -> tuple[Field2D, SolveStats]:
         """The layer-exact solution (module docstring): one transform solve,
@@ -524,11 +569,16 @@ class _PreparedGrid:
         return self._field(u), _certificate("fitted", residual, rhs_norm, u_norm,
                                             self._inv_dx2 + beta, DEFAULT_TOL, 1)
 
-    def _field(self, interior: np.ndarray) -> Field2D:
+    def _field_array(self) -> np.ndarray:
+        """A new array of the field's shape with its Dirichlet rows set."""
         full = np.empty((self.grid.n_x, self.grid.n_y + 1))
         full[:, 0] = self.bottom
-        full[:, 1:-1] = interior
         full[:, -1] = self.top
+        return full
+
+    def _field(self, interior: np.ndarray) -> Field2D:
+        full = self._field_array()
+        full[:, 1:-1] = interior
         return Field2D(grid=self.grid, values=full)
 
 
@@ -571,51 +621,87 @@ def _certificate(scheme: str, residual: float, rhs_norm: float, u_norm: float, s
     return None
 
 
-def _forward(b: np.ndarray) -> np.ndarray:
-    """The DCT-II in x and the DST-I in y of the interior array b, in b's memory."""
-    b = dct(b, type=2, axis=0, overwrite_x=True)
-    return dst(b, type=1, axis=1, overwrite_x=True)
+def _forward(b: np.ndarray) -> None:
+    """Overwrite the interior array b, which may be a strided view, with its
+    DCT-II in x and DST-I in y."""
+    _keep(b, dct(b, type=2, axis=0, overwrite_x=True))
+    _keep(b, dst(b, type=1, axis=1, overwrite_x=True))
+
+
+def _keep(b: np.ndarray, result: np.ndarray) -> None:
+    """Leave ``result``, a transform of b with ``overwrite_x``, in b's memory:
+    scipy computes it there, on any strides; a transform that returns a new
+    array (as a wrapped one may) is copied in."""
+    if not np.may_share_memory(result, b):
+        b[...] = result
 
 
 def _row_blocks(shape: tuple) -> list:
-    """Slices of whole x-rows of about ``_BLOCK_ENTRIES`` entries each."""
-    step = max(1, _BLOCK_ENTRIES // shape[1])
+    """Slices of whole x-rows (the first axis) of about ``_BLOCK_ENTRIES``
+    entries each."""
+    step = max(1, _BLOCK_ENTRIES // math.prod(shape[1:]))
     return [slice(i, i + step) for i in range(0, shape[0], step)]
 
 
 def _subtract_operator(b: np.ndarray, u: np.ndarray, inv_dx2: float, beta: float) -> None:
-    """Overwrite b with b - A u, A the rescaled five-point operator on the interior.
+    """Overwrite b with b - A u, A the rescaled five-point operator on the
+    interior, over blocks of x-rows so that the temporaries stay small
+    (``_subtract_block``)."""
+    for rows in _row_blocks(u.shape):
+        _subtract_block(b[rows], u, rows, inv_dx2, beta)
+
+
+def _subtract_block(r: np.ndarray, u: np.ndarray, rows: slice, inv_dx2: float,
+                    beta: float) -> None:
+    """Overwrite r, the x-rows ``rows`` of b, with those of b - A u.
 
     The x-stencil reflects at the sides (ghosts u_{-1} = u_0 and
-    u_N = u_{N-1}); the Dirichlet rows are already eliminated into b.  Runs
-    over blocks of x-rows so that its temporaries stay small; every entry
-    receives its terms in the same order whatever the block size.
+    u_N = u_{N-1}); the Dirichlet rows are already eliminated into b.  Every
+    entry receives its terms in the same order whatever the block.
     """
     n = u.shape[0]
     centre = -2.0 * (inv_dx2 + beta)
-    for rows in _row_blocks(u.shape):
-        i0, i1 = rows.start, min(rows.stop, n)
-        r, v = b[rows], u[rows]
-        r += v * centre
-        r[1:] += inv_dx2 * v[:-1]
-        if i0 > 0:
-            r[0] += inv_dx2 * u[i0 - 1]
-        r[:-1] += inv_dx2 * v[1:]
-        if i1 < n:
-            r[-1] += inv_dx2 * u[i1]
-        if i0 == 0:
-            r[0] += inv_dx2 * v[0]
-        if i1 == n:
-            r[-1] += inv_dx2 * v[-1]
-        r[:, 1:] += beta * v[:, :-1]
-        r[:, :-1] += beta * v[:, 1:]
+    i0, i1 = rows.start, min(rows.stop, n)
+    v = u[rows]
+    r += v * centre
+    r[1:] += inv_dx2 * v[:-1]
+    if i0 > 0:
+        r[0] += inv_dx2 * u[i0 - 1]
+    r[:-1] += inv_dx2 * v[1:]
+    if i1 < n:
+        r[-1] += inv_dx2 * u[i1]
+    if i0 == 0:
+        r[0] += inv_dx2 * v[0]
+    if i1 == n:
+        r[-1] += inv_dx2 * v[-1]
+    r[:, 1:] += beta * v[:, :-1]
+    r[:, :-1] += beta * v[:, 1:]
 
 
 def _norm(a: np.ndarray) -> float:
-    """2-norm from BLAS nrm2, which rescales as it sums: the squares of a
-    residual near the smallest normal float would underflow in a plain dot."""
-    from scipy.linalg import blas
-    return float(blas.dnrm2(a.ravel()))
+    """2-norm of an array of any shape and strides, with no temporary of its
+    size; NaN if it holds a NaN, else inf if it holds an infinity.
+
+    The squares are summed by ``np.einsum``, which starts no BLAS threads.
+    Where that sum overflows, or falls below ``_SQUARES_MIN`` (near the
+    smallest normal float the squares of a residual underflow), the entries
+    are scaled by the power of two that takes the largest |entry| to
+    [1/2, 1) and summed again, block by block of rows.
+    """
+    squares = _sum_squares(a)
+    if _SQUARES_MIN <= squares < math.inf:
+        return math.sqrt(squares)
+    top = max(float(a.max()), -float(a.min()))
+    if not 0.0 < top < math.inf:  # zeros, an infinity or a NaN
+        return abs(top)
+    e = math.frexp(top)[1]
+    squares = sum(_sum_squares(np.ldexp(a[rows], -e)) for rows in _row_blocks(a.shape))
+    return math.ldexp(math.sqrt(squares), e)
+
+
+def _sum_squares(a: np.ndarray) -> float:
+    axes = list(range(a.ndim))
+    return float(np.einsum(a, axes, a, axes, []))
 
 
 def linf_distance(field: Field2D, other: Union[Field2D, Callable]) -> float:

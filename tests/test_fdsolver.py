@@ -1,10 +1,12 @@
 import dataclasses
 import errno
 import io
+import math
 import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from multiprocessing.context import ForkProcess
@@ -216,16 +218,92 @@ class TestSolveFd:
         v, fresh_stats = solve_fd(p, grid)
         assert u.values.tobytes() == v.values.tobytes() and stats == fresh_stats
 
+    @pytest.mark.parametrize("n_x, n_y", [(128, 4096), (512, 512)])
+    def test_solves_hold_one_field_beyond_the_samples(self, n_x, n_y):
+        # traced peaks in interior arrays, n_x (n_y - 1) doubles: a one-shot
+        # solve_fd holds the samples of f and the field, a sweep's solve the
+        # field alone (its samples and kept transforms are older), each plus
+        # blocks of the residual; the two fields are the same bits
+        p, grid = builtin_problem("paper", eps=0.1), Grid2D(n_x, n_y)
+        interior = 8 * n_x * (n_y - 1)
+        solve_fd(p, grid)  # scipy.fft loaded, its plans for these sizes made
+        tracemalloc.start()
+        try:
+            one_shot, _ = solve_fd(p, grid)
+            one_shot_peak = tracemalloc.get_traced_memory()[1]
+            prepared = fdsolver._sample(p, grid)
+            prepared.solve(0.02)
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            swept, _ = prepared.solve(p.eps**2)
+            sweep_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert one_shot_peak <= 2.6 * interior
+        assert sweep_peak <= 1.6 * interior
+        assert one_shot.values.tobytes() == swept.values.tobytes()
+
+    @pytest.mark.parametrize("name", ["dct", "dst", "idst", "idct"])
+    def test_transform_into_a_new_array_gives_the_same_field(self, monkeypatch, name):
+        # a transform that leaves its input alone and returns a new array, as
+        # a wrapped one may, is copied into the field
+        p, grid = builtin_problem("paper", eps=0.1), Grid2D(32, 48)
+        expected, _ = solve_fd(p, grid)
+        transform = getattr(fdsolver, name)
+        monkeypatch.setattr(fdsolver, name, lambda x, *a, **kw: transform(x.copy(), *a, **kw))
+        for field, _ in (solve_fd(p, grid), fdsolver._sample(p, grid).solve(p.eps**2)):
+            assert field.values.tobytes() == expected.values.tobytes()
+
+
+def _fsum_norm(a):
+    """2-norm by math.fsum of the squares, after an exact power-of-two scaling."""
+    values = np.asarray(a, dtype=float).ravel().tolist()
+    e = math.frexp(max(map(abs, values)))[1]
+    return math.ldexp(math.sqrt(math.fsum(math.ldexp(v, -e) ** 2 for v in values)), e)
+
+
+class TestNorm:
+    @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300, 1e-160, 1e160])
+    @pytest.mark.parametrize("shape", [(300, 257), (7,)])
+    def test_matches_fsum_reference(self, scale, shape):
+        # squares that underflow (1e-300, 1e-160) or overflow (1e300, 1e160)
+        # are rescaled; the 300x257 view has strides and spans two blocks
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((shape[0], shape[-1] + 2))[..., 1:-1] * scale
+        assert fdsolver._norm(a) == pytest.approx(_fsum_norm(a), rel=1e-14, abs=0.0)
+
+    def test_matches_fsum_reference_on_subnormals(self):
+        rng = np.random.default_rng(12)
+        for a in (rng.integers(1, 2**52, (40, 300)) * 5e-324,
+                  rng.integers(1, 16, 2000) * 5e-324 * rng.choice([-1.0, 1.0], 2000)):
+            assert fdsolver._norm(a) == pytest.approx(_fsum_norm(a), rel=1e-14, abs=0.0)
+        assert fdsolver._norm(np.array([5e-324])) == 5e-324
+        assert fdsolver._norm(np.array([3.0, 4.0]) * 5e-324) == 2.5e-323
+
+    def test_mixed_magnitudes(self):
+        a = np.array([[1e300, -1e-300, 5e-324], [0.0, 3e299, -1.0]])
+        assert fdsolver._norm(a) == pytest.approx(_fsum_norm(a), rel=1e-14, abs=0.0)
+        assert fdsolver._norm(np.array([1e308, 1e308])) == pytest.approx(math.sqrt(2) * 1e308)
+
+    def test_zeros_infinities_and_nans(self):
+        for zeros in (np.zeros((3, 4)), -np.zeros(5)):
+            norm = fdsolver._norm(zeros)
+            assert norm == 0.0 and math.copysign(1.0, norm) == 1.0
+        assert fdsolver._norm(np.array([1.0, -np.inf, 2.0])) == math.inf
+        assert fdsolver._norm(np.array([[np.inf, 0.0], [1e300, 1e300]])) == math.inf
+        for a in ([1.0, np.nan], [np.inf, np.nan], [np.nan, -np.inf], [1e-300, np.nan]):
+            assert math.isnan(fdsolver._norm(np.array(a)))
+
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
 def test_solves_start_no_threads():
     # a transform thread pool registers fork handlers, which can hang the
     # forked Monte Carlo workers; a fresh interpreter has started no pool
-    # yet.  The solves load scipy at their first transform and norm, and its
-    # BLAS starts a thread as it loads: loaded first, so that only the solves'
-    # own count
+    # yet.  The solves load scipy.fft at their first transform, and scipy's
+    # BLAS may start a thread as it loads: loaded first, so that only the
+    # solves' own count
     code = (
-        "import os, anisolayer as a, scipy.fft, scipy.linalg\n"
+        "import os, anisolayer as a, scipy.fft\n"
         "from anisolayer import fdsolver\n"
         "def count(): return len(os.listdir('/proc/self/task'))\n"
         "before = count()\n"
