@@ -467,7 +467,9 @@ class _PreparedGrid:
         with np.errstate(over="ignore"):
             mu = self._mu / eps2
         lam = self._lam
-        blocks = _row_blocks((self.grid.n_x, self.grid.n_y - 1))
+        full = self._field_array()
+        u = full[:, 1:-1]
+        blocks = _row_blocks(u.shape)
 
         def invert(b_hat: np.ndarray, out: np.ndarray) -> None:
             """(A_x / eps^2 + A_y)^{-1} b into ``out`` from b's transforms
@@ -478,8 +480,6 @@ class _PreparedGrid:
             _keep(out, idst(out, type=1, axis=1, overwrite_x=True))
             _keep(out, idct(out, type=2, axis=0, overwrite_x=True))
 
-        full = self._field_array()
-        u = full[:, 1:-1]
         if keep_rhs:
             invert(self._rhs_hat, u)
         else:
@@ -514,8 +514,7 @@ class _PreparedGrid:
             rhs_norm = _norm(r)
             _subtract_block(r, u, rows, self._inv_dx2, beta)
             norms.append((_norm(r), rhs_norm, _norm(u[rows])))
-        residual, rhs_norm, u_norm = (_norm(column) for column in np.array(norms).T)
-        return residual, rhs_norm, u_norm
+        return tuple(_norm(column) for column in np.array(norms).T)
 
     def solve_fitted(self, eps2: float) -> tuple[Field2D, SolveStats]:
         """The layer-exact solution (module docstring): one transform solve,

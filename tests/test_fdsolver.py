@@ -269,7 +269,8 @@ class TestNorm:
         # squares that underflow (1e-300, 1e-160) or overflow (1e300, 1e160)
         # are rescaled; the 300x257 view has strides and spans two blocks
         rng = np.random.default_rng(11)
-        a = rng.standard_normal((shape[0], shape[-1] + 2))[..., 1:-1] * scale
+        a = (rng.standard_normal((*shape[:-1], shape[-1] + 2)) * scale)[..., 1:-1]
+        assert a.ndim == len(shape) and a.flags.c_contiguous == (len(shape) == 1)
         assert fdsolver._norm(a) == pytest.approx(_fsum_norm(a), rel=1e-14, abs=0.0)
 
     def test_matches_fsum_reference_on_subnormals(self):
