@@ -674,50 +674,6 @@ def test_failed_sidecar_write_leaves_no_csv(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def _fd_argv(eps2, out):
-    return ["fd", "--problem", "paper", "--eps2", eps2, "--nx", "8", "--ny", "8",
-            "--out", str(out)]
-
-
-def test_existing_output_is_replaced_not_truncated(tmp_path):
-    # the new file is a new inode: a hard link to the old one keeps the old
-    # bytes, and the new bytes are those of a run to a fresh path
-    out, link, fresh = tmp_path / "field.csv", tmp_path / "old.csv", tmp_path / "fresh.csv"
-    assert run(_fd_argv("0.05", out)) == 0
-    old = out.read_bytes()
-    os.link(out, link)
-    assert run(_fd_argv("0.1", out)) == 0
-    assert run(_fd_argv("0.1", fresh)) == 0
-    assert link.read_bytes() == old
-    assert out.read_bytes() == fresh.read_bytes() != old
-    assert not os.path.samefile(out, link)
-
-
-@pytest.mark.skipif(os.geteuid() == 0, reason="root may write any file")
-def test_read_only_output_is_left_untouched(tmp_path, capsys):
-    out = tmp_path / "field.csv"
-    out.write_text("old\n")
-    out.chmod(0o444)
-    assert run(_fd_argv("0.05", out)) == 1
-    assert len(capsys.readouterr().err.splitlines()) == 1
-    assert out.read_text() == "old\n"
-
-
-def test_unwritable_or_linked_output_is_written_in_place(tmp_path, monkeypatch):
-    # a file the caller may not write (so reported whatever the uid) and the
-    # target of a symbolic link are opened in place, never unlinked
-    target, symlink, out = tmp_path / "target.csv", tmp_path / "link.csv", tmp_path / "out.csv"
-    target.write_text("old\n")
-    symlink.symlink_to(target)
-    assert run(_fd_argv("0.05", symlink)) == 0
-    assert symlink.is_symlink() and target.read_text().count("\n") > 80
-    out.write_text("old\n")
-    inode = out.stat().st_ino
-    monkeypatch.setattr(os, "access", lambda path, mode: False)
-    assert run(_fd_argv("0.05", out)) == 0
-    assert out.stat().st_ino == inode and out.read_bytes() == target.read_bytes()
-
-
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_full_device_is_one_line_error(monkeypatch, capsys):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
