@@ -179,7 +179,7 @@ class _ExpansionBase:
 
     def force_coeffs(self, y) -> list:
         """Raw cosine coefficients, shape (K, y.size), of the force fluctuation
-        sources of orders 1..``order`` at each y.
+        sources of orders 1..``order`` at each y; (K, 0) for an empty y.
 
         The sources are sampled on at most ``_Y_BLOCK`` y-columns at a time.
         """
@@ -187,9 +187,9 @@ class _ExpansionBase:
         xq = unit_nodes(self.quad_points)
         w = simpson_weights(self.quad_points)
         out = [np.empty((self.n_modes, y.size)) for _ in self.sources]
-        # near-equal blocks: none is a single column unless y is
+        # near-equal blocks: none is a single column unless y is; none for an empty y
         n_blocks = -(-y.size // _Y_BLOCK)
-        edges = [y.size * i // n_blocks for i in range(n_blocks + 1)]
+        edges = [y.size * i // n_blocks for i in range(n_blocks + 1)] if n_blocks else [0]
         for lo, hi in zip(edges[:-1], edges[1:]):
             for coeffs, source in zip(out, self.sources):
                 vals = check_finite(source(xq[:, None], y[None, lo:hi]), "force derivative")

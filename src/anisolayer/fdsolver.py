@@ -40,17 +40,20 @@ Fitting, 2004).  It is certified x-mode by x-mode after a forward
 orthonormal DCT of u (Parseval).
 
 The work splits at eps.  ``_sample`` evaluates phi0, phi1 and f on one
-grid once, into a ``_PreparedGrid`` that holds these eps-free samples; each
-scheme assembles its own right-hand side from them.  A five-point solve
-holds one grid-sized array beyond the samples, the field it returns: the
-division and the two inverse transforms run in the field's own interior
-rows, and the residual certificate streams over blocks of x-rows (a rare
-refinement pass, whose residual it transforms afresh, holds its own
-arrays).  ``solve_fd`` samples and solves once, taking the forward
-DCT-II/DST-I of f + (boundary rows) / dy^2 inside the field too; a
-convergence sweep samples its output grid once, keeps those transforms for
-every eps^2 (``_PreparedGrid._rhs_hat``) and takes the coarser y-level of
-its estimate from every second row of its samples
+grid by one call each, into a ``_PreparedGrid`` that holds these eps-free
+samples; each scheme assembles its own right-hand side from them.  Both
+schemes compute in the field they return.  A five-point solve holds one
+grid-sized array beyond the samples, that field: the division and the two
+inverse transforms run in the field's own interior rows, and the residual
+certificate streams over blocks of x-rows (a rare refinement pass takes its
+residual from the same stream, held in full, and transforms it afresh).
+The fitted solve runs its DST-I and both inverse transforms in the field's
+interior rows, beside its right-hand side and the x-DCT of the solution
+that its certificate needs.  ``solve_fd`` samples and solves once, taking
+the forward DCT-II/DST-I of f + (boundary rows) / dy^2 inside the field
+too; a convergence sweep samples its output grid once, keeps those
+transforms for every eps^2 (``_PreparedGrid._rhs_hat``) and takes the
+coarser y-level of its estimate from every second row of its samples
 (``_PreparedGrid.coarsened``).  The fitted solve takes the x-DCT of f on
 every row afresh.  The transforms run single-threaded: a thread pool would
 register fork handlers, which can hang the forked Monte Carlo workers of the
@@ -362,20 +365,22 @@ def solve_fd(p: ProblemSpec, grid: Grid2D, tol: float = DEFAULT_TOL,
         ValueError: ``tol`` or ``max_iter`` out of range, or eps^2
             underflows to 0.
     """
-    return _sample(p, grid)._solve(p.eps**2, tol, max_iter, keep_rhs=False)
+    return _sample(p, grid)._solve(p.eps**2, tol, max_iter)
 
 
 def _sample(p: ProblemSpec, grid: Grid2D) -> _PreparedGrid:
     """The prepared grid of ``p`` on ``grid``: phi0 and phi1 sampled on the
-    x-nodes and f on every node, once each, and checked finite."""
+    x-nodes and f on every node, by one call each, and checked finite.  The
+    samples of f are the array ``p.f`` returns, broadcast to the grid's shape
+    and never written."""
     xs = grid.x_nodes()
     ys = grid.y_nodes()
     bottom = check_finite(p.phi0(xs), "phi0")
     top = check_finite(p.phi1(xs), "phi1")
+    f = np.broadcast_to(np.asarray(p.f(xs[:, None], ys[None, :]), dtype=float),
+                        (grid.n_x, grid.n_y + 1))
     # f on the Dirichlet rows, which the five-point scheme never reads, is unchecked
-    f = np.empty((grid.n_x, grid.n_y + 1))
-    f[:, 1:-1] = check_finite(p.f(xs[:, None], ys[None, 1:-1]), "f")
-    f[:, [0, -1]] = p.f(xs[:, None], ys[None, [0, -1]])
+    check_finite(f[:, 1:-1], "f")
     return _PreparedGrid(grid, bottom, top, f)
 
 
@@ -386,9 +391,8 @@ class _PreparedGrid:
     and of f on all n_y + 1 rows (``f``), as ``_sample`` takes them, and the
     eigenvalues of the grid.  ``solve`` and ``solve_fitted`` each assemble
     their own right-hand side from the samples for any eps^2, ``solve`` from
-    the forward transforms ``_rhs_hat`` that its first call keeps.  The
-    five-point solution is computed in the field it returns (module
-    docstring).
+    the forward transforms ``_rhs_hat`` that its first call keeps.  Both
+    solutions are computed in the field they return (module docstring).
     """
 
     def __init__(self, grid: Grid2D, bottom: np.ndarray, top: np.ndarray, f: np.ndarray):
@@ -438,22 +442,24 @@ class _PreparedGrid:
         if eps2 == 0.0:
             raise ValueError(f"eps^2 = {eps2!r}: eps squares to 0 in double precision")
         if self._zero:
+            full = self._field_array()
+            full[:, 1:-1] = 0.0
             stats = SolveStats(iterations=0, relative_residual=0.0, residual_floor=0.0)
-            return self._field(np.zeros((self.grid.n_x, self.grid.n_y - 1))), stats
+            return Field2D(grid=self.grid, values=full), stats
         return None
 
-    def solve(self, eps2: float, tol: float = DEFAULT_TOL,
-              max_iter: int = DEFAULT_MAX_ITER) -> tuple[Field2D, SolveStats]:
+    def solve(self, eps2: float) -> tuple[Field2D, SolveStats]:
         """The five-point solution for anisotropy eps^2 (see ``solve_fd``),
         from the forward transforms of the right-hand side that the first call
         keeps for the next eps^2."""
-        return self._solve(eps2, tol, max_iter, keep_rhs=True)
+        return self._solve(eps2, DEFAULT_TOL, DEFAULT_MAX_ITER, self._rhs_hat)
 
     def _solve(self, eps2: float, tol: float, max_iter: int,
-               keep_rhs: bool) -> tuple[Field2D, SolveStats]:
-        """``solve``, or with ``keep_rhs`` false the one-shot solve of
-        ``solve_fd``, which takes the forward transforms in the field instead
-        of keeping them.  Either gives the same bits."""
+               rhs_hat: np.ndarray | None = None) -> tuple[Field2D, SolveStats]:
+        """The five-point solve from the forward transforms ``rhs_hat`` of
+        the unscaled right-hand side, or, without them, the one-shot solve of
+        ``solve_fd``, which takes those transforms in the field.  Either gives
+        the same bits."""
         if tol < 1e-14:
             raise ValueError(f"tol must be >= 1e-14, got {tol}")
         if max_iter < 1:
@@ -480,13 +486,12 @@ class _PreparedGrid:
             _keep(out, idst(out, type=1, axis=1, overwrite_x=True))
             _keep(out, idct(out, type=2, axis=0, overwrite_x=True))
 
-        if keep_rhs:
-            invert(self._rhs_hat, u)
-        else:
+        if rhs_hat is None:
             for rows in blocks:
                 u[rows] = self._five_point_rhs(1.0, rows)
             _forward(u)
-            invert(u, u)
+            rhs_hat = u
+        invert(rhs_hat, u)
         residual, rhs_norm, u_norm = self._residual_norms(u, eps2, beta)
         for iterations in range(1, max_iter + 1):
             stats = _certificate("five-point", residual, rhs_norm, u_norm, inv_dx2 + beta,
@@ -494,8 +499,8 @@ class _PreparedGrid:
             if stats is not None:
                 return Field2D(grid=self.grid, values=full), stats
             # refine: u += solve(b - A u), the residual held in full
-            r = self._five_point_rhs(eps2)
-            _subtract_operator(r, u, inv_dx2, beta)
+            r = np.empty_like(u)
+            self._residual_norms(u, eps2, beta, out=r)
             r /= eps2
             _forward(r)
             invert(r, r)
@@ -503,17 +508,20 @@ class _PreparedGrid:
             del r
             residual, _, u_norm = self._residual_norms(u, eps2, beta)
 
-    def _residual_norms(self, u: np.ndarray, eps2: float,
-                        beta: float) -> tuple[float, float, float]:
+    def _residual_norms(self, u: np.ndarray, eps2: float, beta: float,
+                        out: np.ndarray | None = None) -> tuple[float, float, float]:
         """||b - A u||_2, ||b||_2 and ||u||_2 of the rescaled five-point
-        system, streamed over blocks of x-rows: b and the residual are never
-        held in full."""
+        system, streamed over blocks of x-rows: b is never held in full, nor
+        is the residual unless ``out``, an array of u's shape, is given to
+        receive b - A u."""
         norms = []
         for rows in _row_blocks(u.shape):
             r = self._five_point_rhs(eps2, rows)
             rhs_norm = _norm(r)
             _subtract_block(r, u, rows, self._inv_dx2, beta)
             norms.append((_norm(r), rhs_norm, _norm(u[rows])))
+            if out is not None:
+                out[rows] = r
         return tuple(_norm(column) for column in np.array(norms).T)
 
     def solve_fitted(self, eps2: float) -> tuple[Field2D, SolveStats]:
@@ -549,11 +557,14 @@ class _PreparedGrid:
             del g
             b[:, 0] += sigma * self._inv_dy2 * dct(self.bottom, type=2, norm="ortho")
             b[:, -1] += sigma * self._inv_dy2 * dct(self.top, type=2, norm="ortho")
-            u = dst(b, type=1, axis=1)
+            full = self._field_array()
+            u = full[:, 1:-1]
+            u[...] = b
+            _keep(u, dst(u, type=1, axis=1, overwrite_x=True))
             for rows in blocks:
                 u[rows] /= c2[rows, None] + sigma[rows, None] * self._lam
-            u = idst(u, type=1, axis=1, overwrite_x=True)
-            u = idct(u, type=2, axis=0, norm="ortho", overwrite_x=True)
+            _keep(u, idst(u, type=1, axis=1, overwrite_x=True))
+            _keep(u, idct(u, type=2, axis=0, norm="ortho", overwrite_x=True))
             # b - (mu'_k + eps^2 sigma_k A_y) u in the rescaled form
             b *= eps2
             rhs_norm = _norm(b)
@@ -564,9 +575,9 @@ class _PreparedGrid:
                 r[:, 1:] += c * v[:, :-1]
                 r[:, :-1] += c * v[:, 1:]
             residual, u_norm = _norm(b), _norm(u_hat)
-        del b, u_hat, r, v  # views too: none may live into _field
-        return self._field(u), _certificate("fitted", residual, rhs_norm, u_norm,
-                                            self._inv_dx2 + beta, DEFAULT_TOL, 1)
+        del b, u_hat, r, v  # before the field is checked
+        return Field2D(grid=self.grid, values=full), _certificate(
+            "fitted", residual, rhs_norm, u_norm, self._inv_dx2 + beta, DEFAULT_TOL, 1)
 
     def _field_array(self) -> np.ndarray:
         """A new array of the field's shape with its Dirichlet rows set."""
@@ -574,11 +585,6 @@ class _PreparedGrid:
         full[:, 0] = self.bottom
         full[:, -1] = self.top
         return full
-
-    def _field(self, interior: np.ndarray) -> Field2D:
-        full = self._field_array()
-        full[:, 1:-1] = interior
-        return Field2D(grid=self.grid, values=full)
 
 
 def _certificate(scheme: str, residual: float, rhs_norm: float, u_norm: float, scale: float,
@@ -640,14 +646,6 @@ def _row_blocks(shape: tuple) -> list:
     entries each."""
     step = max(1, _BLOCK_ENTRIES // math.prod(shape[1:]))
     return [slice(i, i + step) for i in range(0, shape[0], step)]
-
-
-def _subtract_operator(b: np.ndarray, u: np.ndarray, inv_dx2: float, beta: float) -> None:
-    """Overwrite b with b - A u, A the rescaled five-point operator on the
-    interior, over blocks of x-rows so that the temporaries stay small
-    (``_subtract_block``)."""
-    for rows in _row_blocks(u.shape):
-        _subtract_block(b[rows], u, rows, inv_dx2, beta)
 
 
 def _subtract_block(r: np.ndarray, u: np.ndarray, rows: slice, inv_dx2: float,

@@ -169,14 +169,16 @@ def fit_order(points: Sequence[tuple]) -> FitResult:
 
     Raises:
         InsufficientPoints: fewer than 3 points.
-        NonPositiveNorm: a norm (or eps^2) is not strictly positive.
+        NonPositiveNorm: a norm (or eps^2) is not strictly positive and
+            finite: zero, negative, NaN or infinite.
     """
     if len(points) < 3:
         raise InsufficientPoints(f"order fit needs >= 3 points, got {len(points)}")
     eps2 = np.array([float(e) for e, _ in points])
     norms = np.array([float(v) for _, v in points])
-    if np.any(eps2 <= 0.0) or np.any(norms <= 0.0):
-        raise NonPositiveNorm("order fit needs positive eps^2 and norms")
+    values = np.concatenate([eps2, norms])
+    if not (np.all(values > 0.0) and np.all(np.isfinite(values))):
+        raise NonPositiveNorm("order fit needs positive, finite eps^2 and norms")
     lx = np.log10(eps2)
     ly = np.log10(norms)
     slope, intercept = np.polyfit(lx, ly, 1)

@@ -464,6 +464,19 @@ def test_directory_output_is_usage_error_before_computing(
 
 
 @pytest.mark.parametrize("command", sorted(_PATH_CASES))
+def test_directory_path_not_yet_made_is_usage_error_before_computing(
+        command, tmp_path, monkeypatch, capsys):
+    # "nosuchdir/" names a directory although none exists: its parent, the
+    # working directory, does
+    target, argv = _PATH_CASES[command]
+    monkeypatch.setattr(cli_module, target, _refuse)
+    monkeypatch.chdir(tmp_path)
+    code = run(argv + ["--out", "nosuchdir" + os.sep])
+    _assert_one_line_usage_error(code, capsys, command, "is a directory")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", sorted(_PATH_CASES))
 def test_empty_output_path_is_usage_error_before_computing(
         command, tmp_path, monkeypatch, capsys):
     target, argv = _PATH_CASES[command]

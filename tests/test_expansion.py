@@ -346,6 +346,17 @@ class TestComposite:
         assert largest[0] == 65 * 5000
         assert np.max(np.abs(blocked - whole)) <= 1e-14
 
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_empty_y_gives_empty_values(self, order):
+        # no y: (K, 0) coefficients and no force sample, as an empty x gives
+        u = composite(builtin_problem("paper", eps=0.2), order=order, n_modes=8,
+                      quad_points=64)
+        assert [c.shape for c in u._base.force_coeffs([])] == [(8, 0)] * order
+        assert u.evaluate_grid([0.1, 0.5, 0.9], []).shape == (3, 0)
+        assert u.evaluate_grid([], [0.1, 0.5]).shape == (0, 2)
+        assert u(np.array([0.5]), np.empty(0)).shape == (0,)
+        assert u.outer_part(np.array([0.5]), np.empty(0)).shape == (0,)
+
     def test_requires_derivatives_for_higher_orders(self):
         p = ProblemSpec(f=lambda x, y: np.cos(np.pi * x) * (1 + y),
                         phi0=lambda x: 0 * x, phi1=lambda x: 0 * x, eps=0.1)

@@ -179,15 +179,23 @@ class TestSolveFd:
 
     @pytest.mark.parametrize("entries", [1, 3 * 37, 5 * 37, 2**16])
     def test_residual_blocks_keep_every_bit(self, monkeypatch, entries):
-        # one, three or five x-rows per block, or one block: the same bits
+        # the residual that the certificate streams and a refinement keeps:
+        # one, three or five x-rows per block, or one block, give the same bits
         rng = np.random.default_rng(7)
         u = rng.standard_normal((64, 37)) * 10.0 ** rng.integers(-3, 4, (64, 37))
-        b = rng.standard_normal((64, 37))
-        inv_dx2, beta = 64.0**2 * 1.1, 0.37
+        prepared = fdsolver._PreparedGrid(Grid2D(64, 38), rng.standard_normal(64),
+                                          rng.standard_normal(64),
+                                          rng.standard_normal((64, 39)))
+        eps2 = 0.37 / 38.0**2
+        b = prepared._five_point_rhs(eps2)
+        beta = eps2 * prepared._inv_dy2
         monkeypatch.setattr(fdsolver, "_BLOCK_ENTRIES", entries)
-        r = b.copy()
-        fdsolver._subtract_operator(r, u, inv_dx2, beta)
-        assert np.array_equal(r, self._unblocked_residual(b, u, inv_dx2, beta))
+        r = np.full_like(u, np.nan)
+        residual, rhs_norm, _ = prepared._residual_norms(u, eps2, beta, out=r)
+        expected = self._unblocked_residual(b, u, prepared._inv_dx2, beta)
+        assert np.array_equal(r, expected)
+        assert residual == pytest.approx(np.linalg.norm(expected), rel=1e-14)
+        assert rhs_norm == pytest.approx(np.linalg.norm(b), rel=1e-14)
 
     @pytest.mark.parametrize("eps2", [1e-24, 0.01])
     def test_data_with_zero_x_mean_passes_in_one_solve(self, eps2):
@@ -223,10 +231,11 @@ class TestSolveFd:
         # traced peaks: a solve holds the field it returns and at most three
         # residual blocks of _BLOCK_ENTRIES doubles (the block of b, one
         # operator temporary, and room for the small arrays) beyond what it
-        # was given.  solve_fd also samples f first, which holds the samples
-        # and f's interior values before the field exists.  On these grids
-        # the one-shot peak is 2.28 and 2.58 interior arrays of n_x (n_y - 1)
-        # doubles, the sweep's 1.27 and 1.57.  The two fields are the same bits.
+        # was given, and solve_fd the samples too.  Sampling holds the array
+        # that f returns and its finiteness mask.  On these grids the one-shot
+        # peak is 2.28 and 2.58 interior arrays of n_x (n_y - 1) doubles, the
+        # sweep's 1.27 and 1.57, the sampling's 1.15.  The two fields are the
+        # same bits.
         p, grid = builtin_problem("paper", eps=0.1), Grid2D(n_x, n_y)
         field_bytes = 8 * n_x * (n_y + 1)
         blocks = 3 * 8 * fdsolver._BLOCK_ENTRIES
@@ -248,8 +257,9 @@ class TestSolveFd:
         finally:
             tracemalloc.stop()
         samples = prepared.f.nbytes + prepared.bottom.nbytes + prepared.top.nbytes
-        assert one_shot_peak <= max(sample_peak, samples + field_bytes + blocks)
+        assert one_shot_peak <= samples + field_bytes + blocks
         assert sweep_peak <= field_bytes + blocks
+        assert sample_peak <= 1.2 * 8 * n_x * (n_y - 1)
         one_shot, _ = solve_fd(p, grid)
         assert one_shot.values.tobytes() == swept.values.tobytes()
 
@@ -259,10 +269,13 @@ class TestSolveFd:
         # a wrapped one may, is copied into the field
         p, grid = builtin_problem("paper", eps=0.1), Grid2D(32, 48)
         expected, _ = solve_fd(p, grid)
+        fitted, _ = fdsolver._sample(p, grid).solve_fitted(p.eps**2)
         transform = getattr(fdsolver, name)
         monkeypatch.setattr(fdsolver, name, lambda x, *a, **kw: transform(x.copy(), *a, **kw))
         for field, _ in (solve_fd(p, grid), fdsolver._sample(p, grid).solve(p.eps**2)):
             assert field.values.tobytes() == expected.values.tobytes()
+        field, _ = fdsolver._sample(p, grid).solve_fitted(p.eps**2)
+        assert field.values.tobytes() == fitted.values.tobytes()
 
 
 def _fsum_norm(a):
@@ -366,6 +379,39 @@ class TestCoarsenedLevel:
 
 
 class TestSamples:
+    def test_f_is_sampled_by_one_call_per_grid(self):
+        # every row of the grid at once, the Dirichlet rows included
+        p = builtin_problem("paper", eps=0.1)
+        shapes = []
+
+        def f(x, y):
+            out = p.f(x, y)
+            shapes.append(np.shape(out))
+            return out
+
+        q, grid = dataclasses.replace(p, f=f), Grid2D(16, 24)
+        prepared = fdsolver._sample(q, grid)
+        assert shapes == [(16, 25)]
+        solve_fd(q, grid)
+        prepared.solve_fitted(0.01)
+        assert shapes == [(16, 25)] * 2
+
+    @pytest.mark.parametrize("f", [lambda x, y: 1.5, lambda x, y: 1.0 + y**2],
+                             ids=["scalar", "y-only"])
+    def test_force_of_fewer_dimensions_prepares_and_solves(self, f):
+        # what f returns is broadcast to the grid: the same fields as a force
+        # that returns every node
+        grid = Grid2D(16, 24)
+        p = ProblemSpec(f=f, phi0=lambda x: np.cos(np.pi * x), phi1=lambda x: 0.5 + 0 * x,
+                        eps=0.1)
+        q = dataclasses.replace(p, f=lambda x, y: f(x, y) + 0.0 * x * y)
+        prepared, full = fdsolver._sample(p, grid), fdsolver._sample(q, grid)
+        assert prepared.f.shape == full.f.shape == (16, 25)
+        for solve in (fdsolver._PreparedGrid.solve, fdsolver._PreparedGrid.solve_fitted):
+            (u, u_stats), (v, v_stats) = solve(prepared, 0.01), solve(full, 0.01)
+            assert u.values.tobytes() == v.values.tobytes() and u_stats == v_stats
+        assert solve_fd(p, grid)[0].values.tobytes() == solve_fd(q, grid)[0].values.tobytes()
+
     def test_f_on_the_dirichlet_rows_reaches_only_the_fitted_scheme_and_the_bound(self):
         # f changed on y = 0 and y = 1 only: the five-point scheme never reads
         # those rows, the fitted one weights them by beta_k, and sup|f| in

@@ -52,9 +52,18 @@ class TestFitOrder:
         with pytest.raises(InsufficientPoints):
             fit_order([(0.01, 1.0), (0.1, 2.0)])
 
-    def test_nonpositive_norm(self):
-        with pytest.raises(NonPositiveNorm):
-            fit_order([(0.01, 1.0), (0.1, 0.0), (0.5, 2.0)])
+    def test_nonpositive_norm(self, capfd):
+        # zero, NaN or infinite in a norm or an eps^2; a NaN eps^2 reaches no
+        # LAPACK call, which would print to stderr
+        nan, inf = float("nan"), float("inf")
+        for bad in ([(0.01, 1.0), (0.1, 0.0), (0.5, 2.0)],
+                    [(0.01, 1.0), (0.1, nan), (0.5, 2.0)],
+                    [(0.01, 1.0), (0.1, inf), (0.5, 2.0)],
+                    [(0.01, 1.0), (nan, 1.5), (0.5, 2.0)],
+                    [(0.01, 1.0), (inf, 1.5), (0.5, 2.0)]):
+            with pytest.raises(NonPositiveNorm):
+                fit_order(bad)
+        assert capfd.readouterr().err == ""
 
 
 class TestMaxPrinciple:
@@ -384,9 +393,9 @@ class TestSweepSharesEpsFreeWork:
         assert len(calls) == 2
 
     def test_auto_sweep_samples_f_on_no_coarser_y_level(self):
-        # on 16 x 32, f is sampled on the output grid and on the half grid
-        # (8 x 16); the y-level 16 takes the output grid's samples, and no
-        # finer level is sampled
+        # on 16 x 32, f is sampled on every row of the output grid and of the
+        # half grid (8 x 16); the y-level 16 takes the output grid's samples,
+        # and no finer level is sampled
         shapes = []
         p = builtin_problem("paper")
 
@@ -398,8 +407,8 @@ class TestSweepSharesEpsFreeWork:
         report = remainder_norms(dataclasses.replace(p, f=f), [0.02, 0.05, 0.1], [0, 1],
                                  Grid2D(16, 32), n_modes=8, quad_points=64)
         assert report.scheme == "fitted"
-        assert (16, 31) in shapes and (8, 15) in shapes
-        assert not {(16, 63), (16, 15)} & set(shapes)
+        assert (16, 33) in shapes and (8, 17) in shapes
+        assert not {(16, 65), (16, 17)} & set(shapes)
 
     @pytest.mark.parametrize("refine", [1, "auto"])
     def test_bound_data_is_taken_once_from_the_output_grid(self, refine, monkeypatch):
